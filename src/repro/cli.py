@@ -164,7 +164,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8347,
                        help="bind port; 0 picks a free one (default 8347)")
     serve.add_argument("--workers", type=int, default=1,
-                       help="worker processes per job (default 1)")
+                       help="jobs run at once; from 2 up, also the size of "
+                            "the one worker-process pool that lives as long "
+                            "as the server (default 1: one job at a time, "
+                            "computed in the server process)")
     serve.add_argument("--cache-dir", metavar="DIR",
                        default=DEFAULT_CACHE_DIR,
                        help=f"run store location (default {DEFAULT_CACHE_DIR})")

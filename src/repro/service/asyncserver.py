@@ -172,7 +172,7 @@ class AsyncReproServiceServer:
                 await asyncio.gather(*leftovers, return_exceptions=True)
 
     def shutdown(self) -> None:
-        """Stop accepting, drop the loop, then stop the dispatcher."""
+        """Stop accepting, drop the loop, then stop the scheduler."""
         loop = self._loop
         if loop is not None and not loop.is_closed():
             def _stop() -> None:

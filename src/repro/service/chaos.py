@@ -183,9 +183,10 @@ def pool_worker_pids() -> List[int]:
     Children of the current process minus multiprocessing's
     bookkeeping processes (resource tracker), which must survive.
     ``/proc`` attributes a child to the *thread* that forked it, and
-    pool workers are spawned from the scheduler's dispatcher thread —
-    so every ``/proc/{pid}/task/*/children`` file must be scanned, not
-    just the main thread's.
+    pool workers are spawned from whichever of the scheduler's
+    dispatcher threads first needed the pool — so every
+    ``/proc/{pid}/task/*/children`` file must be scanned, not just the
+    main thread's.
     """
     pid = os.getpid()
     candidates: List[int] = []

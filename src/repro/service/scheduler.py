@@ -1,8 +1,15 @@
 """Bounded priority scheduler with coalescing, backpressure and retry.
 
-One :class:`Scheduler` owns the job table and a dispatcher thread that
-drains a bounded priority queue.  Four behaviours make it a serving
-component rather than a work loop:
+One :class:`Scheduler` owns the job table, a bounded priority queue and
+``workers`` dispatcher threads that drain it, so up to ``workers`` jobs
+run at once: a job whose cells are all in the store no longer waits
+behind a cold one.  ``workers=1`` keeps one dispatcher and computes in
+the server process, in strict priority order.  With ``workers >= 2``
+every job's missing cells go to one
+:class:`~repro.store.runcache.WorkerPool` of ``workers`` processes that
+lives as long as the scheduler: it starts on the first cell that needs
+it and :meth:`Scheduler.shutdown` stops it.  Four behaviours make it a
+serving component rather than a work loop:
 
 * **Request coalescing** — a submission whose resolved cell set matches
   an in-flight (queued *or* running) job returns that job instead of
@@ -16,15 +23,20 @@ component rather than a work loop:
   (:class:`~repro.errors.WorkerCrashError`) requeues the job after
   ``retry_backoff_s * 2**attempt``; cells persisted before the crash
   are hits on the next attempt, so retries only recompute the tail.
+  A death breaks the shared pool for everyone: every job with cells in
+  flight at that moment retries and is charged one attempt, and the
+  pool is replaced once.
 * **Cancellation** — queued jobs cancel immediately; running jobs are
-  cancelled cooperatively between cells.  A coalesced job counts its
+  cancelled cooperatively between cells.  A cancelled job withdraws
+  only its own queued cells from the shared pool; its cells already
+  running finish and their results are dropped.  A coalesced job counts its
   attached *waiters*: :meth:`release` (what ``DELETE /v1/jobs/{id}``
   calls) detaches one waiter and only cancels the shared computation
   when the last one lets go, so one client's cancel never kills
   another client's result.
 
 Everything mutating a job or the queue happens under one lock, so the
-HTTP threads can poll and cancel while the dispatcher executes.
+HTTP threads can poll and cancel while the dispatchers execute.
 
 Progress is also *pushed*, not just polled: every job owns a
 sequence-numbered :class:`~repro.service.events.JobEventLog` on the
@@ -67,7 +79,7 @@ from repro.service.jobs import (
 from repro.service.specs import JobPlan, build_plan
 from repro.service.workers import execute_plan, reset_progress
 from repro.simulation.experiment import effective_workers
-from repro.store.runcache import RunCache
+from repro.store.runcache import RunCache, WorkerPool
 
 __all__ = ["Scheduler"]
 
@@ -126,10 +138,12 @@ class Scheduler:
         # process configured for a bigger box degrades gracefully here.
         # Never clamp a pooled request (>= 2) below 2, though — a pool is
         # what isolates the server from crashing runners, and retry-on-
-        # worker-death only works while the dispatcher itself survives.
+        # worker-death only works while the dispatchers themselves
+        # survive.  ``workers`` is also the number of dispatchers.
         self.workers = workers if workers <= 1 else max(
             2, effective_workers(workers)
         )
+        self._pool = WorkerPool(self.workers) if self.workers > 1 else None
         self.max_retries = max_retries
         self.retry_backoff_s = retry_backoff_s
         #: Per-job event logs; the streaming endpoints subscribe here.
@@ -144,10 +158,13 @@ class Scheduler:
         self._ids = itertools.count()
         self._ticket = itertools.count()  # FIFO tie-break within priority
         self._stopping = False
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="repro-dispatcher", daemon=True
-        )
-        self._dispatcher.start()
+        self._dispatchers = [
+            threading.Thread(target=self._dispatch_loop,
+                             name=f"repro-dispatcher-{n}", daemon=True)
+            for n in range(self.workers)
+        ]
+        for thread in self._dispatchers:
+            thread.start()
 
     # -- public API -------------------------------------------------------
 
@@ -329,11 +346,25 @@ class Scheduler:
             return counts
 
     def shutdown(self, timeout: float = 5.0) -> None:
-        """Stop the dispatcher; queued jobs stay queued (not cancelled)."""
+        """Stop the dispatchers and the pool; queued jobs stay queued.
+
+        Running jobs get ``timeout`` seconds to finish.  After that the
+        ones still running are cancelled, the pool's queued cells are
+        cancelled and any worker still busy is killed, so no worker
+        process outlives this call.
+        """
+        deadline = time.monotonic() + timeout
         with self._lock:
             self._stopping = True
             self._wakeup.notify_all()
-        self._dispatcher.join(timeout=timeout)
+        for thread in self._dispatchers:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        with self._lock:
+            for job in self._jobs.values():
+                if job.state == RUNNING:
+                    job.cancel_event.set()
+        if self._pool is not None:
+            self._pool.shutdown(max(0.0, deadline - time.monotonic()))
 
     # -- queue internals --------------------------------------------------
 
@@ -364,7 +395,7 @@ class Scheduler:
         """Pop the highest-priority queued job; None when stopping."""
         with self._lock:
             while True:
-                while self._heap:
+                while self._heap and not self._stopping:
                     _, _, job_id = heapq.heappop(self._heap)
                     job = self._jobs[job_id]
                     if job.state == QUEUED:
@@ -413,9 +444,9 @@ class Scheduler:
                 payload = execute_plan(
                     plan,
                     self.cache,
-                    workers=self.workers,
                     cancel_event=job.cancel_event,
                     on_progress=on_progress,
+                    pool=self._pool,
                 )
             except RunCancelled:
                 with self._lock:

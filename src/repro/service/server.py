@@ -62,7 +62,7 @@ class ReproServiceServer(ThreadingHTTPServer):
         self.api = ServiceAPI(scheduler)
         self.started_ts = self.api.started_ts
 
-    def shutdown(self) -> None:  # stop HTTP first, then the dispatcher
+    def shutdown(self) -> None:  # stop HTTP first, then the scheduler
         super().shutdown()
         self.scheduler.shutdown()
 

@@ -1,14 +1,17 @@
-"""Process-pool execution bridge between jobs and the run store.
+"""Execution bridge between jobs and the run store.
 
 :func:`execute_plan` is the scheduler's unit of attempt: it resolves a
 :class:`~repro.service.specs.JobPlan` against the shared
 :class:`~repro.store.RunCache`, computing only the cells absent from
-the store and fanning those out over worker processes.  Every finished
-``(value, seed)`` cell is persisted the moment it lands — via the
-cache's per-cell streaming — so a worker-process crash loses at most
-the cells still in flight.  The retrying caller resubmits the same
-plan; cells that reached disk before the crash come back as hits and
-are never recomputed.
+the store.  Up to ``workers`` attempts run at once, one per dispatcher
+thread; with ``workers >= 2`` they all send their missing cells to the
+scheduler's one long-lived :class:`~repro.store.runcache.WorkerPool`,
+whose processes return each cell's KPI dictionary rather than its
+history.  Every finished ``(value, seed)`` cell is persisted the moment
+it lands — via the cache's per-cell streaming — so a worker-process
+crash loses at most the cells still in flight, of every job using the
+pool.  The retrying caller resubmits the same plan; cells that reached
+disk before the crash come back as hits and are never recomputed.
 
 Cancellation and progress both flow through the cache's hooks:
 ``cancel_event`` is polled between cells, and each resolved cell bumps
@@ -22,7 +25,7 @@ from typing import Any, Callable, Dict, Optional
 
 from repro.service.jobs import Job
 from repro.service.specs import JobPlan
-from repro.store.runcache import RunCache
+from repro.store.runcache import RunCache, WorkerPool
 
 __all__ = ["execute_plan", "reset_progress"]
 
@@ -30,15 +33,17 @@ __all__ = ["execute_plan", "reset_progress"]
 def execute_plan(
     plan: JobPlan,
     cache: RunCache,
-    workers: int = 1,
     cancel_event: Optional[threading.Event] = None,
     on_progress: Optional[Callable[[int, bool], None]] = None,
+    pool: Optional[WorkerPool] = None,
 ) -> Dict[str, Any]:
     """Run one attempt of ``plan`` and return its JSON result payload.
 
     ``on_progress(index, from_cache)`` fires once per resolved cell,
     in completion order — the scheduler forwards it to the job's event
-    log, which is what the SSE/JSONL endpoints stream.
+    log, which is what the SSE/JSONL endpoints stream.  Missing cells
+    run on ``pool``, the scheduler's shared pool, or in this process
+    when it is None.
 
     Raises
     ------
@@ -58,9 +63,9 @@ def execute_plan(
 
     metrics = cache.fetch_metrics(
         plan.scenarios,
-        workers=workers,
         on_cell=on_cell,
         should_cancel=should_cancel,
+        pool=pool,
     )
     return plan.assemble(metrics)
 

@@ -112,15 +112,25 @@ def _run_history(
     return factory(scenario).run()
 
 
-def _pool_supported(workers: int, payload: object) -> bool:
-    """True when ``workers`` asks for a pool and ``payload`` can ship.
+def _run_metrics(
+    scenario: Scenario,
+    runner_factory: Optional[Callable[[Scenario], LongitudinalRunner]],
+) -> Dict[str, float]:
+    """One seeded scenario's KPI dictionary — what a store pool ships back.
 
-    A custom ``runner_factory`` may be a lambda or closure, which cannot
-    cross a process boundary; those silently fall back to the serial
-    path rather than failing mid-experiment.
+    A history pickles to hundreds of KiB; its KPI dictionary to about
+    half a KiB, so pool workers return this instead of the history.
     """
-    if workers <= 1:
-        return False
+    return extract_metrics(_run_history(scenario, runner_factory))
+
+
+def _picklable(payload: object) -> bool:
+    """True when ``payload`` can cross a process boundary.
+
+    A custom ``runner_factory`` may be a lambda or closure, which cannot;
+    callers fall back to the serial path rather than failing
+    mid-experiment.
+    """
     try:
         pickle.dumps(payload)
     except Exception:
@@ -192,7 +202,7 @@ def _run_many(
     _check_backend(backend)
     _RUNS_TOTAL.inc(len(scenarios))
     workers = effective_workers(workers)
-    pooled = _pool_supported(workers, (scenarios, runner_factory))
+    pooled = workers > 1 and _picklable((scenarios, runner_factory))
     use_batch = False
     if backend == "batch" or (backend == "auto" and not pooled):
         if runner_factory is not None:

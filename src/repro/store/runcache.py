@@ -4,11 +4,19 @@ Every run of the longitudinal simulator is fully determined by
 ``(scenario, seed)``, so its KPI dictionary is a pure function of the
 scenario fingerprint and the seed.  :class:`RunCache` exploits that:
 it serves previously computed KPI dictionaries from disk and computes
-only the missing ``(fingerprint, seed)`` cells, fanning misses out over
-the same process pool :func:`~repro.simulation.experiment.replicate`
-uses.  Cached results are **bit-identical** to fresh ones — JSON floats
-round-trip exactly, and the stored value is exactly what
+only the missing ``(fingerprint, seed)`` cells.  Cached results are
+**bit-identical** to fresh ones — JSON floats round-trip exactly, and
+the stored value is exactly what
 :func:`~repro.simulation.experiment.extract_metrics` returns.
+
+Misses run in-process or on a :class:`WorkerPool`, whose workers send
+back each cell's KPI dictionary (about half a KiB pickled), never its
+history (hundreds of KiB).  There is one compute path for both callers:
+the service scheduler hands in the one pool it keeps for as long as it
+serves, shared by every job it runs at once, while a library call with
+``workers > 1`` opens a pool for that call alone and shuts it down
+before returning, so scripts never leak processes.  Either way the
+processes start on the first cell that needs them.
 
 Because the cache is keyed per cell, interrupted work resumes for free:
 re-invoking a killed or extended sweep recomputes only the cells that
@@ -28,11 +36,18 @@ from __future__ import annotations
 import os
 import shutil
 import threading
+import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from concurrent.futures import as_completed
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    BrokenExecutor,
+    CancelledError,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 
 from repro.errors import ConfigurationError, RunCancelled, WorkerCrashError
 from repro.obs import REGISTRY, span
@@ -44,10 +59,10 @@ from repro.simulation.batch import (
 from repro.simulation.experiment import (
     ComparisonResult,
     _check_backend,
-    _pool_supported,
+    _picklable,
     _pop_legacy_kwarg,
     _reject_unknown_kwargs,
-    _run_history,
+    _run_metrics,
     comparison_from_metrics,
     effective_workers,
     extract_metrics,
@@ -59,7 +74,7 @@ from repro.store.blobstore import BlobStore
 from repro.store.fingerprint import scenario_fingerprint, scenario_summary
 from repro.store.index import RunIndex
 
-__all__ = ["CacheStats", "RunCache"]
+__all__ = ["CacheStats", "RunCache", "WorkerPool"]
 
 DEFAULT_CACHE_DIR = ".repro-cache"
 
@@ -79,6 +94,90 @@ _BYTES_SERVED = REGISTRY.counter(
     "cache_bytes_served_total",
     help="Compressed bytes read from the store to serve cached cells",
 )
+_POOL_REPLACEMENTS = REGISTRY.counter(
+    "store_pool_replacements_total",
+    help="Worker pools dropped after one of their processes died",
+)
+
+#: How often a pooled computation wakes to poll its cancel hook.
+_CANCEL_POLL_S = 0.05
+
+
+class WorkerPool:
+    """A process pool created on first use and replaced after a crash.
+
+    When a worker process dies the executor is broken for every caller
+    with cells in it, and each of them raises
+    :class:`~repro.errors.WorkerCrashError`.  :meth:`discard` drops the
+    broken executor only while it is still the current one, so callers
+    that saw the same crash replace it once; the next :meth:`executor`
+    call starts a fresh one.  Used as a context manager, the pool shuts
+    down on exit.
+    """
+
+    def __init__(self, max_workers: int) -> None:
+        self.max_workers = max_workers
+        self._executor: Optional[ProcessPoolExecutor] = None
+        self._closed = False
+        self._lock = threading.Lock()
+
+    def executor(self) -> ProcessPoolExecutor:
+        """The current executor, started if there is none yet."""
+        with self._lock:
+            if self._closed:
+                raise WorkerCrashError("worker pool is shut down")
+            if self._executor is None:
+                # The platform's default start method (fork on Linux):
+                # forked workers share this process's string-hash seed,
+                # which some KPIs depend on in the last bit, so pooled
+                # cells stay bit-equal to in-process ones; spawned
+                # workers would each draw their own.
+                self._executor = ProcessPoolExecutor(
+                    max_workers=self.max_workers
+                )
+            return self._executor
+
+    def discard(self, broken: ProcessPoolExecutor) -> None:
+        """Drop ``broken`` if it is still the current executor."""
+        with self._lock:
+            if self._executor is not broken:
+                return
+            self._executor = None
+        _POOL_REPLACEMENTS.inc()
+        broken.shutdown(wait=False, cancel_futures=True)
+
+    def shutdown(self, timeout: float = 5.0) -> None:
+        """Cancel queued cells, stop the workers and reap them.
+
+        Idle workers exit at once; a worker still busy after
+        ``timeout`` seconds is killed.  No worker process outlives the
+        call, and later :meth:`executor` calls raise.
+        """
+        with self._lock:
+            self._closed = True
+            executor, self._executor = self._executor, None
+        if executor is None:
+            return
+        # The executor forgets its processes and manager thread on
+        # shutdown, so take them first.
+        processes = list((executor._processes or {}).values())
+        manager = executor._executor_manager_thread
+        executor.shutdown(wait=False, cancel_futures=True)
+        deadline = time.monotonic() + timeout
+        for process in processes:
+            process.join(max(0.0, deadline - time.monotonic()))
+        for process in processes:
+            if process.is_alive():
+                process.kill()
+        if manager is not None:
+            # It reaps every worker before exiting; bounded all the same.
+            manager.join(timeout=5.0)
+
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.shutdown()
 
 
 @dataclass(frozen=True)
@@ -174,6 +273,7 @@ class RunCache:
         on_cell: Optional[Callable[[int, bool], None]] = None,
         should_cancel: Optional[Callable[[], bool]] = None,
         backend: str = "auto",
+        pool: Optional[WorkerPool] = None,
     ) -> List[Dict[str, float]]:
         """KPI dictionaries for already-seeded scenarios, in input order.
 
@@ -187,16 +287,15 @@ class RunCache:
         ``backend`` selects the execution engine for the missing cells
         (see :data:`~repro.simulation.experiment.BACKENDS`); cached
         cells are backend-independent because the batched engine is
-        bit-equal to the scalar one.
+        bit-equal to the scalar one.  ``pool`` computes the missing
+        cells on a caller-owned :class:`WorkerPool` (the scheduler's);
+        without one, ``workers > 1`` opens a pool for this call only.
         """
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
         _check_backend(backend)
         # ``workers`` is taken at face value here: the library wrappers
-        # below clamp to the core count, while the service scheduler
-        # passes a pool size chosen to keep crashing runners isolated
-        # in worker processes — collapsing it to serial would run them
-        # in the server itself.
+        # below clamp to the core count.
         with span("store.fetch", cells=len(scenarios), workers=workers):
             fingerprints = [scenario_fingerprint(s) for s in scenarios]
             metrics: List[Optional[Dict[str, float]]] = (
@@ -218,9 +317,14 @@ class RunCache:
             if hit_pairs:
                 self.index.record_hits(hit_pairs)
                 self._count(hits=len(hit_pairs))
-            if missing:
+            if missing and pool is None and workers > 1:
+                with WorkerPool(min(workers, len(missing))) as own:
+                    self._resolve_missing(scenarios, fingerprints, metrics,
+                                          missing, own, on_cell,
+                                          should_cancel, backend)
+            elif missing:
                 self._resolve_missing(scenarios, fingerprints, metrics,
-                                      missing, workers, on_cell,
+                                      missing, pool, on_cell,
                                       should_cancel, backend)
         return metrics  # type: ignore[return-value]
 
@@ -230,7 +334,7 @@ class RunCache:
         fingerprints: List[str],
         metrics: List[Optional[Dict[str, float]]],
         missing: List[int],
-        workers: int,
+        pool: Optional[WorkerPool],
         on_cell: Optional[Callable[[int, bool], None]],
         should_cancel: Optional[Callable[[], bool]],
         backend: str = "auto",
@@ -271,7 +375,7 @@ class RunCache:
                             waits=len(waited_pairs))
             if claims:
                 self._compute_claimed(scenarios, fingerprints, metrics,
-                                      claims, workers, on_cell,
+                                      claims, pool, on_cell,
                                       should_cancel, backend)
         finally:
             with self._inflight_lock:
@@ -286,7 +390,7 @@ class RunCache:
         fingerprints: List[str],
         metrics: List[Optional[Dict[str, float]]],
         claims: Dict[Tuple[str, int], List[int]],
-        workers: int,
+        pool: Optional[WorkerPool],
         on_cell: Optional[Callable[[int, bool], None]],
         should_cancel: Optional[Callable[[], bool]],
         backend: str = "auto",
@@ -295,7 +399,8 @@ class RunCache:
 
         Per-cell persistence is what makes interrupted work resumable: a
         sweep killed mid-grid keeps every cell that finished, whether
-        the runs were serial or pooled.  A worker-process death
+        the runs were serial or pooled.  Cells run on ``pool`` when
+        there is one and they can be pickled; a worker-process death
         surfaces as :class:`~repro.errors.WorkerCrashError` so callers
         (the service scheduler) can retry; cells stored before the
         crash are never recomputed.
@@ -327,8 +432,7 @@ class RunCache:
         if not to_compute:
             return
 
-        def store(i: int, history) -> None:
-            computed = extract_metrics(history)
+        def store(i: int, computed: Dict[str, float]) -> None:
             blob = self.blobs.put(computed)
             self.index.record_store(
                 fingerprints[i],
@@ -350,37 +454,67 @@ class RunCache:
                    for key in to_compute]
         if cancelled():
             raise RunCancelled("cancelled before computing cells")
-        pooled = _pool_supported(
-            workers, ([s for _, s in pending], self.runner_factory)
+        pooled = pool is not None and _picklable(
+            ([s for _, s in pending], self.runner_factory)
         )
         if backend == "batch":
             pooled = False  # an explicit batch request wins over a pool
         if pooled:
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(pending))
-            ) as pool:
-                futures = {
-                    pool.submit(_run_history, s, self.runner_factory): i
-                    for i, s in pending
-                }
-                try:
-                    for future in as_completed(futures):
-                        store(futures[future], future.result())
-                        if cancelled():
-                            raise RunCancelled("cancelled mid-computation")
-                except (BrokenExecutor, BrokenPipeError, EOFError) as exc:
-                    raise WorkerCrashError(
-                        f"worker process died: {exc!r}"
-                    ) from exc
-                finally:
-                    pool.shutdown(wait=True, cancel_futures=True)
+            self._compute_pooled(pool, pending, store, cancelled)
         else:
             self._compute_serial(pending, store, cancelled, backend)
+
+    def _compute_pooled(
+        self,
+        pool: WorkerPool,
+        pending: List[Tuple[int, Scenario]],
+        store: Callable[[int, Dict[str, float]], None],
+        cancelled: Callable[[], bool],
+    ) -> None:
+        """Ship pending cells to ``pool``, storing each as it lands.
+
+        The pool may be shared with other jobs.  However this call ends
+        — done, cancelled or crashed — it cancels only its own cells
+        still queued; cells already running finish in their workers and
+        their results are dropped.
+        """
+        executor = pool.executor()
+        futures: Dict[Future, int] = {}
+        try:
+            for i, scenario in pending:
+                future = executor.submit(
+                    _run_metrics, scenario, self.runner_factory
+                )
+                futures[future] = i
+            waiting = set(futures)
+            while waiting:
+                done, waiting = wait(waiting, timeout=_CANCEL_POLL_S,
+                                     return_when=FIRST_COMPLETED)
+                failure: Optional[Exception] = None
+                for future in done:
+                    try:
+                        computed = future.result()
+                    except Exception as exc:  # store the others first
+                        failure = failure or exc
+                        continue
+                    store(futures[future], computed)
+                if failure is not None:
+                    raise failure
+                if cancelled():
+                    raise RunCancelled("cancelled mid-computation")
+        except (BrokenExecutor, BrokenPipeError, EOFError) as exc:
+            pool.discard(executor)
+            raise WorkerCrashError(f"worker process died: {exc!r}") from exc
+        except CancelledError as exc:  # the pool is shutting down
+            raise WorkerCrashError("worker pool shut down") from exc
+        finally:
+            for future in futures:
+                future.cancel()
 
     def _compute_serial(
         self,
         pending: List[Tuple[int, Scenario]],
-        store: Callable[[int, Any], None],
+        store: Callable[[int, Dict[str, float]], None],
         cancelled: Callable[[], bool],
         backend: str,
     ) -> None:
@@ -408,7 +542,7 @@ class RunCache:
             for i, scenario in pending:
                 if cancelled():
                     raise RunCancelled("cancelled mid-computation")
-                store(i, _run_history(scenario, self.runner_factory))
+                store(i, _run_metrics(scenario, self.runner_factory))
             return
         for members in groups.values():
             if cancelled():
@@ -416,18 +550,18 @@ class RunCache:
             if len(members) == 1:
                 record_fallback("singleton_family")
                 i, scenario = members[0]
-                store(i, _run_history(scenario, None))
+                store(i, _run_metrics(scenario, None))
                 continue
             if members[0][1].uses_plugin_modifiers():
                 record_fallback("plugin")
                 for i, scenario in members:
                     if cancelled():
                         raise RunCancelled("cancelled mid-computation")
-                    store(i, _run_history(scenario, None))
+                    store(i, _run_metrics(scenario, None))
                 continue
             histories = BatchRunner([s for _, s in members]).run()
             for (i, _), history in zip(members, histories):
-                store(i, history)
+                store(i, extract_metrics(history))
 
     # -- experiment API ---------------------------------------------------
 

@@ -2,8 +2,11 @@
 
 import functools
 import os
+import pickle
+import sys
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -12,6 +15,12 @@ from repro.errors import (
     JobStateError,
     QueueFullError,
     UnknownJobError,
+)
+from repro.obs import REGISTRY
+from repro.service.chaos import (
+    fast_factory,
+    make_flaky_factory,
+    pool_worker_pids,
 )
 from repro.service.jobs import (
     CANCELLED,
@@ -31,6 +40,12 @@ from repro.service.specs import (
     sweep_plan,
 )
 from repro.simulation import megamart_timeline
+from repro.simulation.experiment import (
+    _run_metrics,
+    compare_scenarios,
+    extract_metrics,
+    replicate,
+)
 from repro.store import RunCache, scenario_fingerprint
 
 
@@ -80,6 +95,20 @@ def crash_until_sentinel_factory(sentinel, scenario):
 def always_crash_factory(scenario):
     """Kill the worker process on every attempt."""
     os._exit(13)
+
+
+class _PidRunner:
+    def __init__(self, scenario):
+        self.scenario = scenario
+
+    def run(self):
+        return _FakeHistory({"kpi": float(self.scenario.seed),
+                             "pid": float(os.getpid())})
+
+
+def pid_factory(scenario):
+    """Report which process ran the cell."""
+    return _PidRunner(scenario)
 
 
 def _scheduler(tmp_path, factory=quick_factory, **kwargs):
@@ -475,3 +504,156 @@ class TestScheduler:
             assert final.progress.cells_cached >= 1
         finally:
             scheduler.shutdown()
+
+
+# -- concurrent dispatch over one long-lived pool ---------------------------
+
+
+def _wait_for(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
+
+
+class TestConcurrentDispatch:
+    def test_cached_job_does_not_wait_behind_cold_job(self, tmp_path):
+        scheduler = _scheduler(tmp_path, factory=sleepy_factory, workers=2)
+        try:
+            warm, _ = scheduler.submit("replicate", {"seeds": [90]})
+            assert scheduler.wait(warm.id, timeout=15).state == DONE
+            cold, _ = scheduler.submit(
+                "replicate", {"seeds": list(range(8))}
+            )
+            _wait_for(lambda: scheduler.get(cold.id).state == RUNNING)
+            hit, created = scheduler.submit("replicate", {"seeds": [90]})
+            assert created
+            hit_final = scheduler.wait(hit.id, timeout=15)
+            cold_final = scheduler.wait(cold.id, timeout=15)
+            assert hit_final.state == DONE and cold_final.state == DONE
+            assert hit_final.progress.cells_cached == 1
+            assert hit_final.finished_ts < cold_final.finished_ts
+        finally:
+            scheduler.shutdown()
+
+    def test_consecutive_jobs_reuse_the_pool(self, tmp_path):
+        scheduler = _scheduler(tmp_path, factory=pid_factory, workers=2)
+        try:
+            ran = []
+            alive = []
+            for seeds in ([0, 1, 2, 3], [4, 5, 6, 7]):
+                job, _ = scheduler.submit("replicate", {"seeds": seeds})
+                final = scheduler.wait(job.id, timeout=15)
+                assert final.state == DONE, final.error
+                metrics = final.result["metrics"]
+                assert [m["kpi"] for m in metrics] == seeds
+                ran.append({int(m["pid"]) for m in metrics})
+                alive.append(set(pool_worker_pids()))
+            assert alive[0] == alive[1]
+            assert ran[0] | ran[1] <= alive[0]
+            assert os.getpid() not in ran[0] | ran[1]
+        finally:
+            scheduler.shutdown()
+
+    def test_pool_returns_kpi_dicts_only(self, tmp_path, monkeypatch):
+        shipped = []
+        submit = ProcessPoolExecutor.submit
+
+        def spy(pool, fn, *args, **kwargs):
+            future = submit(pool, fn, *args, **kwargs)
+            shipped.append((fn, future))
+            return future
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", spy)
+        scheduler = Scheduler(RunCache(tmp_path / "store"), workers=2)
+        try:
+            job, _ = scheduler.submit(
+                "replicate", {"scenario": "hackathon", "seeds": [0, 1]}
+            )
+            final = scheduler.wait(job.id, timeout=60)
+            assert final.state == DONE, final.error
+        finally:
+            scheduler.shutdown()
+        assert len(shipped) == 2
+        for fn, future in shipped:
+            assert fn is _run_metrics
+            returned = future.result()
+            assert type(returned) is dict
+            assert len(pickle.dumps(returned)) < 4096
+        in_process = [
+            extract_metrics(history) for history in replicate(
+                resolve_scenario("hackathon"), [0, 1], backend="scalar")
+        ]
+        assert final.result["metrics"] == in_process
+        assert [future.result() for _, future in shipped] == in_process
+
+    def test_crash_on_shared_pool_retries_every_job_once(self, tmp_path):
+        # Cells take 0.1 s, so the surviving worker cannot drain a
+        # job's cells before the pool notices the crash.
+        factory = make_flaky_factory(tmp_path / "chaos", max_crashes=1,
+                                     delay=0.1)
+        scheduler = _scheduler(tmp_path, factory=factory, workers=2,
+                               max_retries=3)
+        replaced = REGISTRY.counter("store_pool_replacements_total")
+        before = replaced.value
+        try:
+            # Occupy both workers so the two jobs' cells queue up behind;
+            # the first of them to run then kills its worker while every
+            # cell of both jobs is in the pool.
+            executor = scheduler._pool.executor()
+            for _ in range(scheduler.workers):
+                executor.submit(time.sleep, 0.3)
+            seed_sets = ([0, 1, 2, 3], [10, 11, 12, 13])
+            jobs = [
+                scheduler.submit("compare", {"a": "hackathon",
+                                             "b": "traditional",
+                                             "seeds": seeds})[0]
+                for seeds in seed_sets
+            ]
+            finals = [scheduler.wait(j.id, timeout=30) for j in jobs]
+        finally:
+            scheduler.shutdown()
+        for final, seeds in zip(finals, seed_sets):
+            assert final.state == DONE, final.error
+            assert final.attempts == 1
+            rebuilt = comparison_from_payload(final.result)
+            direct = compare_scenarios(
+                resolve_scenario("hackathon"),
+                resolve_scenario("traditional"),
+                seeds=seeds, runner_factory=fast_factory,
+            )
+            assert rebuilt.metrics_a == direct.metrics_a
+            assert rebuilt.metrics_b == direct.metrics_b
+        assert replaced.value - before == 1
+
+    def test_overlapping_jobs_compute_each_cell_once(self, tmp_path):
+        """Dispatchers racing on shared cells: single-flight holds."""
+        scheduler = _scheduler(tmp_path, workers=2)
+        seed_sets = [list(range(start, start + 6)) for start in range(12)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            jobs = [scheduler.submit("replicate", {"seeds": seeds})[0]
+                    for seeds in seed_sets]
+            finals = [scheduler.wait(j.id, timeout=60) for j in jobs]
+        finally:
+            sys.setswitchinterval(switch)
+            scheduler.shutdown()
+        for final, seeds in zip(finals, seed_sets):
+            assert final.state == DONE, final.error
+            assert final.result["metrics"] == [
+                {"kpi": float(s)} for s in seeds
+            ]
+        distinct = {s for seeds in seed_sets for s in seeds}
+        assert scheduler.cache.session_misses == len(distinct)
+
+    def test_shutdown_kills_workers_still_busy(self, tmp_path):
+        factory = functools.partial(sleepy_factory, delay=5.0)
+        scheduler = _scheduler(tmp_path, factory=factory, workers=2)
+        job, _ = scheduler.submit("replicate", {"seeds": [0, 1, 2]})
+        _wait_for(lambda: len(pool_worker_pids()) >= scheduler.workers)
+        start = time.monotonic()
+        scheduler.shutdown(timeout=0.2)
+        assert time.monotonic() - start < 4.0
+        assert pool_worker_pids() == []
+        assert scheduler.wait(job.id, timeout=5).state == CANCELLED

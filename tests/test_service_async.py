@@ -25,7 +25,11 @@ from repro.service import (
     serve,
     serve_async,
 )
-from repro.service.chaos import corrupt_blobs, make_flaky_factory
+from repro.service.chaos import (
+    corrupt_blobs,
+    make_flaky_factory,
+    pool_worker_pids,
+)
 from repro.store import RunCache
 
 from test_service import quick_factory, sleepy_factory
@@ -205,6 +209,26 @@ class TestChaosRetry:
             server.shutdown()
             server.server_close()
         assert failures.value - before >= 3
+
+
+    def test_shutdown_leaves_no_pool_workers(self, tmp_path):
+        cache = RunCache(tmp_path / "store", runner_factory=quick_factory)
+        server = build_async_server(port=0, cache=cache, workers=2)
+        serve_async(server)
+        try:
+            client = ServiceClient(
+                f"http://127.0.0.1:{server.server_port}"
+            )
+            jid = client.submit(
+                "replicate", {"seeds": [41, 42, 43]})["job"]["id"]
+            client._await(jid, timeout=30)
+            assert client.job(jid)["progress"]["cells_cached"] == 0
+            # The pool outlives the job: it lives as long as the server.
+            assert pool_worker_pids()
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert pool_worker_pids() == []
 
 
 # -- coalesced DELETE detaches, not cancels -------------------------------
