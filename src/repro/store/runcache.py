@@ -25,8 +25,11 @@ never made it to disk.
 The cache is also safe to share across threads: a per-cell
 **single-flight** map guarantees that two threads racing on the same
 missing ``(fingerprint, seed)`` cell compute it exactly once — the
-loser blocks until the winner's result lands in the store and then
-reads it back, observing bit-identical KPIs.  This is what lets the
+loser waits until the winner's result lands in the store and then
+reads it back, observing bit-identical KPIs.  A thread waits only after
+computing and releasing its own claims, and its cancel hook still
+works while it waits, so threads needing the same cells in different
+orders never wait on each other.  This is what lets the
 serving layer (:mod:`repro.service`) point many request threads at one
 cache.
 """
@@ -101,6 +104,8 @@ _POOL_REPLACEMENTS = REGISTRY.counter(
 
 #: How often a pooled computation wakes to poll its cancel hook.
 _CANCEL_POLL_S = 0.05
+#: How long :meth:`WorkerPool.shutdown` waits to reap killed workers.
+_REAP_GRACE_S = 1.0
 
 
 class WorkerPool:
@@ -150,28 +155,35 @@ class WorkerPool:
         """Cancel queued cells, stop the workers and reap them.
 
         Idle workers exit at once; a worker still busy after
-        ``timeout`` seconds is killed.  No worker process outlives the
-        call, and later :meth:`executor` calls raise.
+        ``timeout`` seconds is killed.  The call returns within
+        ``timeout`` plus a short grace period for reaping killed
+        workers.  No worker process outlives it, and later
+        :meth:`executor` calls raise.
         """
         with self._lock:
             self._closed = True
             executor, self._executor = self._executor, None
         if executor is None:
             return
-        # The executor forgets its processes and manager thread on
-        # shutdown, so take them first.
-        processes = list((executor._processes or {}).values())
-        manager = executor._executor_manager_thread
-        executor.shutdown(wait=False, cancel_futures=True)
         deadline = time.monotonic() + timeout
+        # The executor forgets its processes and manager thread on
+        # shutdown, so take them first.  Both attributes are private;
+        # checked on CPython 3.9-3.13.  Without them the executor's own
+        # shutdown still stops idle workers, but cannot kill busy ones.
+        processes = list((getattr(executor, "_processes", None)
+                          or {}).values())
+        manager = getattr(executor, "_executor_manager_thread", None)
+        executor.shutdown(wait=False, cancel_futures=True)
         for process in processes:
             process.join(max(0.0, deadline - time.monotonic()))
         for process in processes:
             if process.is_alive():
                 process.kill()
+        for process in processes:
+            process.join(_REAP_GRACE_S)
         if manager is not None:
-            # It reaps every worker before exiting; bounded all the same.
-            manager.join(timeout=5.0)
+            manager.join(max(0.0, deadline - time.monotonic())
+                         + _REAP_GRACE_S)
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -339,50 +351,75 @@ class RunCache:
         should_cancel: Optional[Callable[[], bool]],
         backend: str = "auto",
     ) -> None:
-        """Claim or await each missing cell, then compute the claims.
+        """Claim the free missing cells, compute them, then await the rest.
 
         For every cell this call either becomes the single flight that
         computes it, or waits for the thread that already is and then
-        serves the freshly stored result as a hit.
+        serves the freshly stored result as a hit.  It never waits while
+        holding a claim: it claims every free cell at once, computes and
+        releases them, and only then waits on the cells other flights
+        hold, polling ``should_cancel``.  So two calls wanting the same
+        cells in opposite orders cannot wait on each other.  A cell
+        whose other flight failed is claimed again on the next round.
         """
-        claims: Dict[Tuple[str, int], List[int]] = {}
+        remaining = missing
+        while remaining:
+            claims: Dict[Tuple[str, int], List[int]] = {}
+            held: Dict[Tuple[str, int], Tuple[threading.Event, List[int]]] = {}
+            with self._inflight_lock:
+                for i in remaining:
+                    key = (fingerprints[i], scenarios[i].seed)
+                    if key in claims:  # duplicate cell inside this batch
+                        claims[key].append(i)
+                    elif key in held:
+                        held[key][1].append(i)
+                    elif key in self._inflight:
+                        held[key] = (self._inflight[key], [i])
+                    else:
+                        self._inflight[key] = threading.Event()
+                        claims[key] = [i]
+            try:
+                if claims:
+                    self._compute_claimed(scenarios, fingerprints, metrics,
+                                          claims, pool, on_cell,
+                                          should_cancel, backend)
+            finally:
+                with self._inflight_lock:
+                    for key in claims:
+                        self._inflight.pop(key).set()
+            remaining = self._await_held(held, metrics, on_cell,
+                                         should_cancel)
+
+    def _await_held(
+        self,
+        held: Dict[Tuple[str, int], Tuple[threading.Event, List[int]]],
+        metrics: List[Optional[Dict[str, float]]],
+        on_cell: Optional[Callable[[int, bool], None]],
+        should_cancel: Optional[Callable[[], bool]],
+    ) -> List[int]:
+        """Serve cells other flights computed; return those they failed."""
+        failed: List[int] = []
         waited_pairs = []
         try:
-            for i in missing:
-                key = (fingerprints[i], scenarios[i].seed)
-                if key in claims:  # duplicate cell inside this batch
-                    claims[key].append(i)
+            for key, (event, indices) in held.items():
+                while not event.wait(_CANCEL_POLL_S):
+                    if should_cancel is not None and should_cancel():
+                        raise RunCancelled("cancelled waiting for a cell")
+                payload = self._load_cell(*key)
+                if payload is None:
+                    failed.extend(indices)
                     continue
-                while True:
-                    with self._inflight_lock:
-                        event = self._inflight.get(key)
-                        if event is None:
-                            self._inflight[key] = threading.Event()
-                            claims[key] = [i]
-                            break
-                    event.wait()
-                    payload = self._load_cell(*key)
-                    if payload is not None:
-                        metrics[i] = payload
-                        waited_pairs.append(key)
-                        if on_cell is not None:
-                            on_cell(i, True)
-                        break
-                    # The other flight failed; loop and claim it ourselves.
+                for i in indices:
+                    metrics[i] = payload
+                    if on_cell is not None:
+                        on_cell(i, True)
+                waited_pairs.append(key)
+        finally:
             if waited_pairs:
                 self.index.record_hits(waited_pairs)
                 self._count(hits=len(waited_pairs),
                             waits=len(waited_pairs))
-            if claims:
-                self._compute_claimed(scenarios, fingerprints, metrics,
-                                      claims, pool, on_cell,
-                                      should_cancel, backend)
-        finally:
-            with self._inflight_lock:
-                for key in claims:
-                    event = self._inflight.pop(key, None)
-                    if event is not None:
-                        event.set()
+        return failed
 
     def _compute_claimed(
         self,

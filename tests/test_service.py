@@ -647,6 +647,100 @@ class TestConcurrentDispatch:
         distinct = {s for seeds in seed_sets for s in seeds}
         assert scheduler.cache.session_misses == len(distinct)
 
+    def test_crossed_claims_do_not_deadlock(self, tmp_path):
+        """A job never waits on another flight while holding claims.
+
+        The test thread holds seed 5 open.  Job ``up`` needs 0, 5, 9
+        and job ``down`` needs 9, 0.  A claimant that waited on 5 while
+        holding 0 would block ``down`` on 0, and ``down`` holding 9
+        would then block ``up`` for good once 5 lands.
+        """
+        started = set()
+        gate = threading.Event()
+
+        def gated_factory(scenario):
+            # A closure cannot be pickled, so every cell runs in the
+            # thread of the flight that claimed it.
+            started.add(scenario.seed)
+            if scenario.seed == 5:
+                gate.wait(10)
+            return _QuickRunner(scenario)
+
+        scheduler = _scheduler(tmp_path, factory=gated_factory, workers=2)
+        holder = threading.Thread(
+            target=scheduler.cache.fetch_metrics,
+            args=(build_plan("replicate", {"seeds": [5]}).scenarios,),
+        )
+        try:
+            holder.start()
+            _wait_for(lambda: 5 in started)
+            up, _ = scheduler.submit("replicate", {"seeds": [0, 5, 9]})
+            _wait_for(lambda: scheduler.get(up.id).state == RUNNING)
+            time.sleep(0.2)  # up now waits on 5
+            down, _ = scheduler.submit("replicate", {"seeds": [9, 0]})
+            _wait_for(lambda: scheduler.get(down.id).state != QUEUED)
+            time.sleep(0.2)
+            gate.set()
+            holder.join(10)
+            for job, seeds in ((up, [0, 5, 9]), (down, [9, 0])):
+                final = scheduler.wait(job.id, timeout=10)
+                assert final.state == DONE, (final.state, final.error)
+                assert final.result["metrics"] == [
+                    {"kpi": float(s)} for s in seeds
+                ]
+        finally:
+            gate.set()
+            scheduler.shutdown()
+        assert scheduler.cache.session_misses == 3
+
+    def test_opposite_order_overlap_stress(self, tmp_path):
+        """Jobs claiming shared cells in opposite orders all finish."""
+        scheduler = _scheduler(tmp_path, factory=sleepy_factory, workers=2)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for start in range(0, 60, 6):
+                seeds = list(range(start, start + 6))
+                up, up_created = scheduler.submit(
+                    "replicate", {"seeds": seeds})
+                down, down_created = scheduler.submit(
+                    "replicate", {"seeds": seeds[::-1]})
+                assert up_created and down_created
+                for job, order in ((up, seeds), (down, seeds[::-1])):
+                    final = scheduler.wait(job.id, timeout=15)
+                    assert final.state == DONE, (final.state, final.error)
+                    assert final.result["metrics"] == [
+                        {"kpi": float(s)} for s in order
+                    ]
+        finally:
+            sys.setswitchinterval(switch)
+            scheduler.shutdown()
+        assert scheduler.cache.session_misses == 60
+
+    def test_job_waiting_on_another_jobs_cell_can_be_cancelled(
+        self, tmp_path
+    ):
+        factory = functools.partial(sleepy_factory, delay=3.0)
+        scheduler = _scheduler(tmp_path, factory=factory, workers=2)
+        try:
+            holder, _ = scheduler.submit("replicate", {"seeds": [0, 1]})
+            # Both cells are claimed once both workers are busy.
+            _wait_for(lambda: len(pool_worker_pids()) >= scheduler.workers)
+            waiter, created = scheduler.submit("replicate", {"seeds": [0]})
+            assert created
+            _wait_for(lambda: scheduler.get(waiter.id).state == RUNNING)
+            time.sleep(0.2)  # let it block on the holder's cell
+            start = time.monotonic()
+            scheduler.cancel(waiter.id)
+            assert scheduler.wait(waiter.id, timeout=5).state == CANCELLED
+            assert time.monotonic() - start < 1.0
+            assert scheduler.get(holder.id).state == RUNNING
+            final = scheduler.wait(holder.id, timeout=15)
+            assert final.state == DONE, final.error
+            assert final.result["metrics"] == [{"kpi": 0.0}, {"kpi": 1.0}]
+        finally:
+            scheduler.shutdown()
+
     def test_shutdown_kills_workers_still_busy(self, tmp_path):
         factory = functools.partial(sleepy_factory, delay=5.0)
         scheduler = _scheduler(tmp_path, factory=factory, workers=2)
