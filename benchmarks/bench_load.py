@@ -46,6 +46,7 @@ from repro.service.chaos import (
     fast_factory,
     make_flaky_factory,
 )
+from repro.service.jobs import TERMINAL_STATES
 from repro.store import RunCache
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
@@ -197,12 +198,12 @@ def run_stream_vs_poll(jobs=12, cell_delay=0.075, poll_interval=0.2):
     """Phase 2: completion-notice latency, streamed vs 200 ms polling.
 
     The poll interval models a considerate remote client (sub-100 ms
-    polling of a shared service is exactly the idiom this PR
-    deprecates); the stream pays no such quantization — it is woken
-    by the terminal event itself.
+    polling of a shared service is exactly the idiom event streams
+    replace): the polled arm re-fetches the job snapshot every
+    ``poll_interval`` until it is terminal.  The stream pays no such
+    quantization — it is woken by the terminal event itself.
     """
     import functools
-    import warnings
 
     tmp = tempfile.mkdtemp(prefix="repro-svp-")
     factory = functools.partial(fast_factory, delay=cell_delay)
@@ -223,9 +224,11 @@ def run_stream_vs_poll(jobs=12, cell_delay=0.075, poll_interval=0.2):
             jid = client.submit(
                 "replicate", {"seeds": [2000 + i]})["job"]["id"]
             t0 = time.perf_counter()
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                client.wait(jid, timeout=30, interval=poll_interval)
+            deadline = t0 + 30
+            while client.job(jid)["state"] not in TERMINAL_STATES:
+                if time.perf_counter() >= deadline:
+                    raise RuntimeError(f"job {jid} not done after 30s")
+                time.sleep(poll_interval)
             polled.append(time.perf_counter() - t0)
     finally:
         server.shutdown()

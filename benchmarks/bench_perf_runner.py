@@ -6,11 +6,10 @@ regenerates all the others.  It times
 * one full-consortium ``LongitudinalRunner.run()``,
 * a 5-seed serial ``replicate``,
 * the same 5 seeds through ``replicate(..., workers=4)``,
-* a 100-seed replicate through the scalar and the batched
-  (structure-of-arrays) engines — the batched one must return KPI
-  dicts identical to the scalar run — plus a per-phase wall-time
-  breakdown of the batched run (setup / exchange / metrics / survey /
-  trajectory / aging) aggregated from the engine's own trace spans,
+* a 100-seed replicate, plus a per-phase wall-time breakdown of a
+  traced 100-seed replicate (setup / exchange / metrics / survey /
+  trajectory / aging, with the summed ``sim.run`` spans as the total)
+  aggregated from the engine's own trace spans,
 * a cold-vs-warm ``RunCache.compare_scenarios`` pair over a fresh store,
 * the same warm compare with metrics updates globally disabled
   (``repro.obs.set_enabled``), pricing the observability layer itself,
@@ -69,10 +68,11 @@ BASELINE_COMPARE_5SEED_S = 1.431
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
 
 
-#: Span name -> phase label for the batched-engine breakdown.  "total"
-#: is the enclosing sim.batch span; "aging" (inter-event decay/recovery)
-#: also contains the trajectory samples, which are broken out on their
-#: own line as well.
+#: Span name -> phase label for the 100-seed breakdown.  "total" sums
+#: the sim.run spans, which exclude runner setup (a runner is set up,
+#: by template clone, before it runs); "aging" (inter-event
+#: decay/recovery) also contains the trajectory samples, which are
+#: broken out on their own line as well.
 _PHASE_SPANS = {
     "sim.setup": "setup",
     "sim.plenary.exchange": "exchange",
@@ -80,12 +80,12 @@ _PHASE_SPANS = {
     "sim.plenary.survey": "survey",
     "sim.trajectory": "trajectory",
     "sim.inter_event": "aging",
-    "sim.batch": "total",
+    "sim.run": "total",
 }
 
 
 def _phase_breakdown(scenario, seeds):
-    """Wall time by engine phase for one traced 100-seed batch replicate.
+    """Wall time by engine phase for one traced 100-seed replicate.
 
     Collected with the process tracer so the numbers come from the same
     spans ``--trace`` exports; the run is warm (template cache filled by
@@ -94,7 +94,7 @@ def _phase_breakdown(scenario, seeds):
     TRACER.reset()
     TRACER.enabled = True
     try:
-        replicate(scenario, seeds, backend="batch")
+        replicate(scenario, seeds)
     finally:
         TRACER.enabled = False
     totals = {}
@@ -112,7 +112,7 @@ def _phase_breakdown(scenario, seeds):
         visit(root)
     TRACER.reset()
     return {
-        f"batch_100seed_phase_{label}_s": round(seconds, 4)
+        f"replicate_100seed_phase_{label}_s": round(seconds, 4)
         for label, seconds in sorted(totals.items())
     }
 
@@ -133,28 +133,13 @@ def timings():
     single = _best_of(
         3, lambda: LongitudinalRunner(scenario.with_seed(42)).run()
     )
-    serial = _best_of(
-        2, lambda: replicate(scenario, SEEDS, workers=1, backend="scalar")
-    )
+    serial = _best_of(2, lambda: replicate(scenario, SEEDS, workers=1))
     parallel = _best_of(
         2, lambda: replicate(scenario, SEEDS, workers=WORKERS)
     )
     seeds100 = list(range(100))
-    scalar_100 = _best_of(
-        2, lambda: replicate(scenario, seeds100, backend="scalar")
-    )
-    batch_100 = _best_of(
-        2, lambda: replicate(scenario, seeds100, backend="batch")
-    )
+    replicate_100 = _best_of(2, lambda: replicate(scenario, seeds100))
     phases = _phase_breakdown(scenario, seeds100)
-    # The batched engine must be invisible in the numbers it returns.
-    assert [
-        extract_metrics(h)
-        for h in replicate(scenario, SEEDS, backend="batch")
-    ] == [
-        extract_metrics(h)
-        for h in replicate(scenario, SEEDS, backend="scalar")
-    ]
     compare = _best_of(
         2,
         lambda: compare_scenarios(
@@ -196,8 +181,7 @@ def timings():
         "single_run_s": round(single, 4),
         "replicate_5seed_serial_s": round(serial, 4),
         "replicate_5seed_workers4_s": round(parallel, 4),
-        "replicate_100seed_scalar_s": round(scalar_100, 4),
-        "replicate_100seed_batch_s": round(batch_100, 4),
+        "replicate_100seed_scalar_s": round(replicate_100, 4),
         **phases,
         "compare_5seed_workers4_s": round(compare, 4),
         "cache_cold_compare_5seed_s": round(cache_cold, 4),
@@ -269,10 +253,6 @@ def test_perf_trajectory(benchmark, timings):
     compare_speedup = (
         BASELINE_COMPARE_5SEED_S / timings["compare_5seed_workers4_s"]
     )
-    batch_speedup = (
-        timings["replicate_100seed_scalar_s"]
-        / timings["replicate_100seed_batch_s"]
-    )
     warm_cache_speedup = (
         timings["cache_cold_compare_5seed_s"]
         / timings["cache_warm_compare_5seed_s"]
@@ -291,7 +271,6 @@ def test_perf_trajectory(benchmark, timings):
     print(f"  single-run speedup vs pre-PR     {single_speedup:8.2f}x")
     print(f"  5-seed compare speedup vs pre-PR {compare_speedup:8.2f}x")
     print(f"  warm-cache compare speedup       {warm_cache_speedup:8.2f}x")
-    print(f"  100-seed batch vs scalar         {batch_speedup:8.2f}x")
     print(f"  cpu_count                        {cpus:8d}")
 
     entry = {
@@ -301,7 +280,6 @@ def test_perf_trajectory(benchmark, timings):
         "single_run_speedup": round(single_speedup, 2),
         "compare_5seed_speedup": round(compare_speedup, 2),
         "warm_cache_compare_speedup": round(warm_cache_speedup, 2),
-        "batch_speedup_vs_scalar": round(batch_speedup, 2),
         "workers": WORKERS,
         "cpu_count": cpus,
     }
@@ -328,19 +306,6 @@ def test_perf_trajectory(benchmark, timings):
         f"warm-cache compare speedup {warm_cache_speedup:.2f}x < 10x "
         f"({timings['cache_warm_compare_5seed_s']:.4f}s warm vs "
         f"{timings['cache_cold_compare_5seed_s']:.3f}s cold)"
-    )
-    # Shape: the batched engine must never degenerate below the scalar
-    # path.  The measured end-to-end win is modest (~1.1-1.2x on this
-    # container: template cloning, stacked sessions/voting/surveys and
-    # incremental metrics all land, but per-lane world aging and
-    # network bookkeeping stay Python — see ROADMAP for what a real
-    # multiple would take), so the guard is a regression floor with
-    # noise headroom, not a speedup target.
-    assert batch_speedup >= 0.9, (
-        f"batched 100-seed replicate is slower than scalar: "
-        f"{batch_speedup:.2f}x "
-        f"({timings['replicate_100seed_batch_s']:.2f}s batch vs "
-        f"{timings['replicate_100seed_scalar_s']:.2f}s scalar)"
     )
     # Shape: the HTTP layer adds little enough overhead that a warm
     # store sustains double-digit cached jobs per second end to end.

@@ -10,7 +10,6 @@ names or inline mappings, exactly as the HTTP API does), a ``seeds``
 count or list, and the same keyword set::
 
     workers=N          fan cells out over N processes
-    backend=NAME       "auto" | "batch" | "scalar" execution engine
     cache=True         memoize through the run store
     cache_dir=PATH     where that store lives
     trace=PATH         record a span tree and write it as JSONL
@@ -90,7 +89,6 @@ def replicate(
     seeds: SeedsSpec = 5,
     *,
     workers: int = 1,
-    backend: str = "auto",
     cache: bool = False,
     cache_dir: str = DEFAULT_CACHE_DIR,
     trace: Optional[str] = None,
@@ -102,11 +100,9 @@ def replicate(
                  seeds=len(seed_list), cache=cache):
         if cache:
             return RunCache(cache_dir).replicate(
-                resolved, seed_list, workers=workers, backend=backend
+                resolved, seed_list, workers=workers
             )
-        histories = _replicate_histories(
-            resolved, seed_list, workers=workers, backend=backend
-        )
+        histories = _replicate_histories(resolved, seed_list, workers=workers)
         return [extract_metrics(h) for h in histories]
 
 
@@ -116,7 +112,6 @@ def compare(
     seeds: SeedsSpec = 5,
     *,
     workers: int = 1,
-    backend: str = "auto",
     cache: bool = False,
     cache_dir: str = DEFAULT_CACHE_DIR,
     trace: Optional[str] = None,
@@ -129,12 +124,10 @@ def compare(
                  b=scenario_b.name, seeds=len(seed_list), cache=cache):
         if cache:
             return RunCache(cache_dir).compare_scenarios(
-                scenario_a, scenario_b, seed_list, workers=workers,
-                backend=backend,
+                scenario_a, scenario_b, seed_list, workers=workers
             )
         return compare_scenarios(
-            scenario_a, scenario_b, seed_list, workers=workers,
-            backend=backend,
+            scenario_a, scenario_b, seed_list, workers=workers
         )
 
 
@@ -153,7 +146,6 @@ def sweep(
     *,
     base: Optional[ScenarioSpec] = None,
     workers: int = 1,
-    backend: str = "auto",
     cache: bool = False,
     cache_dir: str = DEFAULT_CACHE_DIR,
     trace: Optional[str] = None,
@@ -172,11 +164,11 @@ def sweep(
         if cache:
             return RunCache(cache_dir).run_sweep(
                 parameter, chosen, factory, seeds=seed_list,
-                label_fn=label_fn, workers=workers, backend=backend,
+                label_fn=label_fn, workers=workers,
             )
         return run_sweep(
             parameter, chosen, factory, seeds=seed_list,
-            label_fn=label_fn, workers=workers, backend=backend,
+            label_fn=label_fn, workers=workers,
         )
 
 

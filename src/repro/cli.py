@@ -227,11 +227,6 @@ def _add_execution_options(sub_parser: argparse.ArgumentParser) -> None:
         "--workers", type=int, default=1,
         help="processes for the per-seed runs (default 1 = serial)")
     sub_parser.add_argument(
-        "--backend", choices=("auto", "batch", "scalar"), default="auto",
-        help="execution engine: 'batch' stacks all seeds into one "
-             "vectorized computation, 'scalar' runs them one by one, "
-             "'auto' (default) batches whenever the request qualifies")
-    sub_parser.add_argument(
         "--cache", action="store_true",
         help="memoize per-seed KPI results in the run store")
     sub_parser.add_argument(
@@ -307,13 +302,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             result = cache.compare_scenarios(
                 scenario_a, scenario_b,
                 seeds=range(args.seeds), workers=args.workers,
-                backend=args.backend,
             )
         else:
             result = compare_scenarios(
                 scenario_a, scenario_b,
                 seeds=range(args.seeds), workers=args.workers,
-                backend=args.backend,
             )
     rows = []
     for comparison in result.all_comparisons():
@@ -405,13 +398,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             result = cache.run_sweep(
                 args.parameter, values, factory, seeds=range(args.seeds),
                 label_fn=label_fn, workers=args.workers,
-                backend=args.backend,
             )
         else:
             result = run_sweep(
                 args.parameter, values, factory, seeds=range(args.seeds),
                 label_fn=label_fn, workers=args.workers,
-                backend=args.backend,
             )
     metrics = ("convincing_demos", "knowledge_transferred",
                "final_burnout_rate")
@@ -473,9 +464,6 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
                     if spec.remote_share is not None else "")
             print(f"  month {spec.month:>5.1f}  {spec.kind:<12} "
                   f"{spec.mode}{lane}  — {spec.name}")
-        if scenario.uses_plugin_modifiers():
-            print("modifiers: runs on the scalar engine "
-                  "(batch_fallback_total{reason=\"plugin\"})")
         return 0
     # validate: parse every file, fail on the first malformed one with
     # the usual one-line exit-2 error.

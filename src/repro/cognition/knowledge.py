@@ -102,8 +102,8 @@ def registered_domains() -> Tuple[str, ...]:
     :meth:`KnowledgeVector.total` depend on its current width (NumPy's
     pairwise summation groups differently as the array grows).  Code
     that caches derived floats across registry growth — notably the
-    batch engine's world templates — includes this snapshot in its
-    cache key.
+    world-template cache (:mod:`repro.simulation.template`) — includes
+    this snapshot in its cache key.
     """
     return tuple(_REGISTRY._names)
 
@@ -300,7 +300,7 @@ class KnowledgeVector:
         common registry width.
 
         The rows are fresh copies in registry index order — callers may
-        mutate them freely (the batched exchange loop in
+        mutate them freely (the exchange loop in
         :mod:`repro.meetings.plenary` does exactly that).
         """
         arrays = [v._vec for v in vectors]

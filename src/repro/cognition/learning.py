@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.cognition.distance import cognitive_distance
 from repro.cognition.knowledge import KnowledgeVector
 from repro.errors import ConfigurationError
@@ -88,32 +86,6 @@ class LearningModel:
         )
         peak = self._peak
         return raw / peak if peak > 0 else 0.0
-
-    def learning_values(self, distances: "np.ndarray") -> "np.ndarray":
-        """Vectorized :meth:`learning_value` over an array of distances.
-
-        Bit-equal to mapping :meth:`learning_value` element by element.
-        With the default unit exponents ``d**1.0`` is exactly ``d``
-        (IEEE pow), so the scalar formula reduces to ``d*(1-d)/peak``
-        and vectorizes exactly.  Non-unit exponents go through libm's
-        ``pow``, whose NumPy counterpart can differ in the last ulp, so
-        that case falls back to the scalar map.
-        """
-        distances = np.asarray(distances, dtype=float)
-        if distances.size and (
-            float(distances.min()) < 0.0 or float(distances.max()) > 1.0
-        ):
-            bad = [d for d in distances.tolist() if not 0.0 <= d <= 1.0]
-            raise ValueError(f"distance must be in [0,1], got {bad[0]}")
-        peak = self._peak
-        if self.novelty_exponent == 1.0 and self.understanding_exponent == 1.0:
-            raw = distances * (1.0 - distances)
-            return raw / peak if peak > 0 else np.zeros_like(distances)
-        return np.fromiter(
-            (self.learning_value(d) for d in distances.tolist()),
-            dtype=float,
-            count=distances.size,
-        )
 
     def transfer_rate(
         self,

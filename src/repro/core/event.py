@@ -39,7 +39,6 @@ from repro.evaluation.voting import (
     MAX_SCORE,
     ChallengeScore,
     Criterion,
-    VotingSystem,
 )
 from repro.framework.catalog import FrameworkModel
 from repro.framework.integration import AdoptionState
@@ -104,7 +103,6 @@ class HackathonEvent:
         work_session: Optional[WorkSession] = None,
         followups: Optional[FollowUpRegistry] = None,
         checker: Optional[PrerequisiteChecker] = None,
-        fast_paths: bool = False,
     ) -> None:
         self.consortium = consortium
         self.framework = framework
@@ -115,9 +113,6 @@ class HackathonEvent:
         self.work_session = work_session or WorkSession(hub)
         self.followups = followups if followups is not None else FollowUpRegistry()
         self.checker = checker or PrerequisiteChecker()
-        # Batch lanes opt into the stacked session/voting kernels; the
-        # per-team / per-voter reference loops stay the scalar default.
-        self._fast_paths = fast_paths
 
         self.call: Optional[ChallengeCall] = None
         self.book: Optional[SubscriptionBook] = None
@@ -188,10 +183,7 @@ class HackathonEvent:
             raise SimulationError("form_teams() must run before sessions")
         hours = hours if hours is not None else self.config.time_box_hours
         interactions: List[Interaction] = []
-        if self._fast_paths and self.teams:
-            results = self.work_session.run_many(self.teams, hours)
-        else:
-            results = [self.work_session.run(team, hours) for team in self.teams]
+        results = self.work_session.run_many(self.teams, hours)
         for team, result in zip(self.teams, results):
             self._sessions_by_team[team.challenge.challenge_id].append(result)
             interactions.extend(result.interactions)
@@ -223,10 +215,7 @@ class HackathonEvent:
                 outcome.interactions.extend(result.interactions)
 
         if demos:
-            if self._fast_paths:
-                ranking = self._tally_votes_fast(demos, voters)
-            else:
-                ranking = self._run_voting(demos, voters).ranking()
+            ranking = self._tally_votes(demos, voters)
             outcome.scores = ranking
             outcome.showcase_ids = [
                 s.challenge_id
@@ -314,53 +303,20 @@ class HackathonEvent:
             pitches.append(pitch)
         return demos, pitches
 
-    def _run_voting(
-        self, demos: Sequence[Demo], voters: Sequence[Member]
-    ) -> VotingSystem:
-        voting = VotingSystem(
-            event_id=self.config.event_id,
-            challenge_ids=[d.challenge_id for d in demos],
-        )
-        criteria = list(Criterion)
-        # Demo qualities are voter-independent; noise is drawn in one
-        # batch per voter (same stream sequence as scalar draws) and the
-        # whole ballot sheet is rounded/clipped as one array — np.rint
-        # rounds half-to-even exactly like builtin round().
-        base = np.array(
-            [
-                [demo.quality(criterion) * 5.0 for criterion in criteria]
-                for demo in demos
-            ]
-        )
-        for voter in voters:
-            raw = self._rng.normal(
-                0.0, self.config.vote_noise_sd, size=base.shape
-            )
-            raw += base
-            np.rint(raw, out=raw)
-            np.clip(raw, 0, MAX_SCORE, out=raw)
-            sheet = raw.astype(int).tolist()
-            for demo, row in zip(demos, sheet):
-                voting.cast(
-                    voter.member_id,
-                    demo.challenge_id,
-                    dict(zip(criteria, row)),
-                )
-        return voting
-
-    def _tally_votes_fast(
+    def _tally_votes(
         self, demos: Sequence[Demo], voters: Sequence[Member]
     ) -> List[ChallengeScore]:
-        """Every ballot sheet in one stacked draw (batch lanes only).
+        """Anonymous four-criteria voting: every ballot sheet in one draw.
 
-        Bit-equal to ``_run_voting(...).ranking()``: a ``(V, D, C)``
-        normal draw consumes the event stream exactly as V sequential
-        ``(D, C)`` draws would, the integer score sheets are tallied as
-        exact integer sums, and each criterion mean is the same single
-        ``total / ballots`` division the ballot box performs on its
-        sum of int scores.  The ballot-box path stays as the reference
-        (and handles the one-ballot-per-voter bookkeeping the anonymous
-        simulation ballots never violate).
+        Bit-equal to casting each voter's sheet into a
+        :class:`~repro.evaluation.voting.VotingSystem` and ranking it:
+        a ``(V, D, C)`` normal draw consumes the event stream exactly as
+        V sequential ``(D, C)`` draws would, the integer score sheets
+        (``np.rint`` rounds half-to-even like builtin ``round``) are
+        tallied as exact integer sums, and each criterion mean is the
+        same single ``total / ballots`` division the ballot box performs
+        on its sum of int scores.  ``tests/oracles.py`` keeps the ballot
+        box version as the reference.
         """
         criteria = list(Criterion)
         base = np.array(

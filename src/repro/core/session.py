@@ -90,41 +90,19 @@ class WorkSession:
 
     def hourly_productivity(self, team: Team, hour_index: int) -> float:
         """Expected progress in the ``hour_index``-th hour (0-based)."""
-        return self._hourly_productivity(
-            team,
-            hour_index,
-            team.coverage(),
-            self.learning.learning_value(team.diversity()),
-        )
-
-    def _hourly_productivity(
-        self,
-        team: Team,
-        hour_index: int,
-        coverage: float,
-        diversity_value: float,
-    ) -> float:
-        """Hourly productivity with the knowledge-derived factors given.
-
-        Coverage and diversity depend only on team knowledge, which is
-        constant within one session run (exchanges apply afterwards at
-        the plenary level) — callers hoist them out of the hour loop.
-        """
         fatigue = 0.5 ** (hour_index / self.fatigue_halflife_hours)
-        energy = team.mean_energy()
-        difficulty_factor = 1.0 - 0.5 * team.challenge.difficulty
         return (
             self.productivity_per_hour
-            * (0.3 + 0.7 * coverage)
-            * (0.5 + 0.5 * diversity_value)
+            * (0.3 + 0.7 * team.coverage())
+            * (0.5 + 0.5 * self.learning.learning_value(team.diversity()))
             * team.challenge.preparedness
             * fatigue
-            * energy
-            * difficulty_factor
+            * team.mean_energy()
+            * (1.0 - 0.5 * team.challenge.difficulty)
         )
 
     def run(self, team: Team, hours: float) -> SessionResult:
-        """Simulate the session hour by hour.
+        """Simulate one team's session hour by hour.
 
         Each hour adds productivity-model progress, drains member
         energy, and generates pairwise team interactions of hackathon
@@ -132,68 +110,48 @@ class WorkSession:
         """
         if hours <= 0:
             raise ConfigurationError(f"session hours must be > 0, got {hours}")
-        progress = 0.0
-        interactions: List[Interaction] = []
-        whole_hours = int(math.ceil(hours))
-        coverage = team.coverage()
-        diversity_value = self.learning.learning_value(team.diversity())
-        for hour in range(whole_hours):
-            slice_hours = min(1.0, hours - hour)
-            progress += (
-                self._hourly_productivity(team, hour, coverage, diversity_value)
-                * slice_hours
-            )
-            for member in team.members:
-                member.drain_energy(self.energy_drain_per_hour * slice_hours)
-            interactions.extend(self._team_interactions(team, slice_hours))
-        noise = 1.0 + self._rng.normal(0.0, self.noise_sd)
-        progress = max(0.0, min(1.0, progress * max(0.1, noise)))
-        return SessionResult(
-            challenge_id=team.challenge.challenge_id,
-            hours=hours,
-            progress=progress,
-            coverage=coverage,
-            diversity_value=diversity_value,
-            mean_energy_after=team.mean_energy(),
-            interactions=interactions,
+        return self._run_team(
+            team, hours, float(self._rng.normal(0.0, self.noise_sd))
         )
 
     def run_many(self, teams: List[Team], hours: float) -> List[SessionResult]:
-        """Batch-lane fast path: one session round for every team.
+        """One session round for every team.
 
-        Bit-equal to ``[self.run(team, hours) for team in teams]``:
-
-        * the per-team progress noise is drawn as one vector — the
-          generator consumes ``normal(size=T)`` exactly as T sequential
-          scalar draws, and the hour loops between those draws touch no
-          RNG at all;
-        * :meth:`_run_fast` replays the scalar hour loop's arithmetic
-          (same left-associated productivity product, same Python-sum
-          mean energy, same post-drain pair energies) on a local energy
-          list instead of round-tripping every read and drain through
-          the member objects.
+        Bit-equal to ``[self.run(team, hours) for team in teams]``: the
+        per-team progress noise is drawn as one vector, and the
+        generator consumes ``normal(size=T)`` exactly as T sequential
+        scalar draws; the hour loops between those draws touch no RNG.
         """
         if hours <= 0:
             raise ConfigurationError(f"session hours must be > 0, got {hours}")
         noises = self._rng.normal(0.0, self.noise_sd, size=len(teams))
         return [
-            self._run_fast(team, hours, float(noise))
+            self._run_team(team, hours, float(noise))
             for team, noise in zip(teams, noises)
         ]
 
-    def _run_fast(
+    def _run_team(
         self, team: Team, hours: float, noise_value: float
     ) -> SessionResult:
-        """One team's session with the noise draw supplied by the caller."""
+        """One team's session with the noise draw supplied by the caller.
+
+        Coverage and diversity depend only on team knowledge, which is
+        constant within one session (exchanges apply afterwards at the
+        plenary level), so they are hoisted out of the hour loop, and
+        energies live in a local list instead of round-tripping every
+        read and drain through the member objects.
+        ``tests/oracles.py`` keeps the member-by-member hour loop as the
+        reference.
+        """
         members = team.members
         count = len(members)
         energies = [m.energy for m in members]
         ids = [m.member_id for m in members]
         coverage = team.coverage()
         diversity_value = self.learning.learning_value(team.diversity())
-        # Identical grouping to _hourly_productivity's product chain:
+        # Identical grouping to hourly_productivity's product chain:
         # the first four (hour-invariant) factors fold into a prefix,
-        # the remaining multiplies keep the scalar's left association.
+        # the remaining multiplies keep its left association.
         prefix = (
             self.productivity_per_hour
             * (0.3 + 0.7 * coverage)
@@ -241,20 +199,3 @@ class WorkSession:
             mean_energy_after=sum(energies) / count,
             interactions=interactions,
         )
-
-    def _team_interactions(self, team: Team, hours: float) -> List[Interaction]:
-        """Every pair of teammates interacts intensely while hacking."""
-        out: List[Interaction] = []
-        members = team.members
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                pair_energy = 0.5 * (members[i].energy + members[j].energy)
-                out.append(
-                    Interaction(
-                        member_a=members[i].member_id,
-                        member_b=members[j].member_id,
-                        intensity=hours * (0.5 + 0.5 * pair_energy),
-                        context=f"hackathon:{team.challenge.challenge_id}",
-                    )
-                )
-        return out

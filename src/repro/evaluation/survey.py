@@ -86,50 +86,21 @@ class PlenarySurvey:
         self.opinion_gain = opinion_gain
 
     def collect(self, result: MeetingResult) -> SurveyOutcome:
-        """Run the survey over every attendee of ``result``."""
-        per_member: Dict[str, List[EngagementRecord]] = {}
-        for rec in result.engagement_records:
-            per_member.setdefault(rec.member_id, []).append(rec)
+        """Run the survey over every attendee of ``result``.
 
-        votes: Counter = Counter()
-        significant_yes = 0
-        continue_yes = 0
-        respondents = 0
-        for member_id in sorted(per_member):
-            records = per_member[member_id]
-            respondents += 1
-            for title in self._pick_best_parts(records):
-                votes[title] += 1
-            mean_engagement = sum(r.engagement for r in records) / len(records)
-            peak_engagement = max(r.engagement for r in records)
-            p_yes = self._opinion_probability(
-                0.5 * mean_engagement + 0.5 * peak_engagement
-            )
-            if self._rng.random() < p_yes:
-                significant_yes += 1
-            if self._rng.random() < p_yes:
-                continue_yes += 1
-
-        return SurveyOutcome(
-            respondents=respondents,
-            best_part_votes=dict(votes),
-            progress_significant_fraction=(
-                significant_yes / respondents if respondents else 0.0
-            ),
-            continue_fraction=(continue_yes / respondents if respondents else 0.0),
-        )
-
-    def collect_fast(self, result: MeetingResult) -> SurveyOutcome:
-        """Batch-lane fast path: one stacked draw, one stacked ``exp``.
-
-        Bit-equal to :meth:`collect`: every respondent consumes exactly
+        All uniforms come from one stacked draw and all pick weights
+        from one stacked ``exp``.  Bit-equal to surveying respondent by
+        respondent (``tests/oracles.py`` keeps that loop as the
+        reference): every respondent consumes exactly
         ``min(votes_per_respondent, len(records)) + 2`` uniforms (the
-        exponential weights are strictly positive, so the pick loop
-        never breaks early), and ``random(n)`` consumes the survey
-        stream exactly as n sequential scalar draws.  The per-member
-        weight vector is a contiguous copy of the same length as the
-        scalar path's, so its ``sum``/``cumsum``/``searchsorted``
-        reductions group identically.
+        exponential weights are strictly positive, so no pick is ever
+        skipped), and ``random(n)`` consumes the survey stream exactly
+        as n sequential scalar draws.  Each pick inverts the normalised
+        cdf of the respondent's remaining weights — the float ops of
+        ``Generator.choice(n, p=weights/total)`` without its argument
+        validation — and the per-member weight vector is a contiguous
+        copy of the respondent's own records, so its
+        ``sum``/``cumsum``/``searchsorted`` reductions group identically.
         """
         per_member: Dict[str, List[EngagementRecord]] = {}
         for rec in result.engagement_records:
@@ -185,28 +156,6 @@ class PlenarySurvey:
             ),
             continue_fraction=(continue_yes / respondents if respondents else 0.0),
         )
-
-    def _pick_best_parts(self, records: List[EngagementRecord]) -> List[str]:
-        titles = [r.item_title for r in records]
-        weights = np.exp(self.sharpness * np.array([r.engagement for r in records]))
-        k = min(self.votes_per_respondent, len(titles))
-        chosen: List[str] = []
-        weights = weights.copy()
-        for _ in range(k):
-            total = weights.sum()
-            if total <= 0:
-                break
-            # Inlined Generator.choice(n, p=weights/total): build the
-            # normalised cdf and invert one uniform draw.  Same float ops
-            # and a single stream draw, so the sampled indices (and the
-            # stream state afterwards) are bit-identical — just without
-            # choice()'s per-call argument validation.
-            cdf = (weights / total).cumsum()
-            cdf /= cdf[-1]
-            idx = int(cdf.searchsorted(self._rng.random(), side="right"))
-            chosen.append(titles[idx])
-            weights[idx] = 0.0
-        return chosen
 
     def _opinion_probability(self, engagement: float) -> float:
         """Stretch engagement around 0.5 into a yes-probability."""

@@ -85,12 +85,10 @@ class MeetingResult:
 class MeetingSession:
     """One plenary in progress, steppable agenda item by agenda item.
 
-    :meth:`PlenaryMeeting.run` drives a session start to finish; the
-    batched engine (:mod:`repro.simulation.batch`) instead interleaves
-    many sessions — one per seed lane — preparing each agenda item on
-    every lane and then applying the exchanges across all lanes at once.
-    The per-lane sequence of operations (and RNG draws) is identical
-    either way, which is what keeps the two paths bit-equal.
+    :meth:`PlenaryMeeting.run` and the longitudinal runner drive a
+    session start to finish: for each agenda item, :meth:`prepare_item`
+    samples engagement and interactions and :meth:`apply_item` runs the
+    knowledge exchange they produce.
     """
 
     def __init__(

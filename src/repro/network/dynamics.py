@@ -9,7 +9,6 @@ proper follow-up") is exactly a decay phenomenon: ties formed in a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
 
 from repro.errors import ConfigurationError
 from repro.network.graph import CollaborationNetwork
@@ -123,40 +122,3 @@ class TieDynamics:
             if target > current:
                 network.strengthen(a, b, target - current)
         return dropped
-
-    def decay_period_many(
-        self,
-        lanes: Iterable[Tuple[CollaborationNetwork, frozenset]],
-        months: float,
-    ) -> List[int]:
-        """Apply one decay step to many independent networks.
-
-        Used by the batched engine to age all seed lanes in lockstep.
-        The survival factors depend only on ``months``, so they are
-        computed once and shared; each network then decays exactly as
-        :meth:`decay_period` would have decayed it (same operations, in
-        the same order, per lane), keeping the lanes bit-equal to
-        scalar runs.
-        """
-        if months < 0:
-            raise ConfigurationError(f"months must be non-negative, got {months}")
-        lanes = list(lanes)
-        if months == 0:
-            return [0] * len(lanes)
-        plain = self.monthly_decay**months
-        gentle = self.followup_decay**months
-        dropped_counts: List[int] = []
-        for network, followed_up_pairs in lanes:
-            protected = {}
-            for pair in followed_up_pairs:
-                a, b = pair
-                strength = network.strength(a, b)
-                if strength > 0:
-                    protected[pair] = strength * gentle
-            dropped = network.weaken_all(plain)
-            for (a, b), target in protected.items():
-                current = network.strength(a, b)
-                if target > current:
-                    network.strengthen(a, b, target - current)
-            dropped_counts.append(dropped)
-        return dropped_counts

@@ -25,8 +25,8 @@ Bit-equality: the tracker stores only *integer* state (degrees, double-
 counted triangles, component sizes).  All floating-point metric values
 are derived at snapshot time by :func:`~repro.network.metrics.compute_metrics`,
 replicating the networkx formulas operation by operation; the networkx
-implementation is retained as the test oracle
-(:func:`~repro.network.metrics.compute_metrics_oracle`).
+implementation is retained as the test oracle (``compute_metrics_oracle``
+in ``tests/oracles.py``).
 """
 
 from __future__ import annotations

@@ -7,22 +7,22 @@ metrics quantify that.
 
 :func:`compute_metrics` reads the incrementally maintained tie-graph
 state (:mod:`repro.network.incremental`) and derives every float with
-the exact operation sequence of the networkx implementation, which is
-kept verbatim as :func:`compute_metrics_oracle` — the property tests in
-``tests/test_incremental_metrics.py`` pin the two bit-equal under
-randomized tie add/decay histories.
+the exact operation sequence of the networkx implementation, which
+``tests/oracles.py`` keeps verbatim as ``compute_metrics_oracle`` — the
+property tests in ``tests/test_incremental_metrics.py`` pin the two
+bit-equal under randomized tie add/decay histories.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set
 
 import networkx as nx
 
 from repro.network.graph import CollaborationNetwork
 
-__all__ = ["NetworkMetrics", "compute_metrics", "compute_metrics_oracle"]
+__all__ = ["NetworkMetrics", "compute_metrics"]
 
 
 @dataclass(frozen=True)
@@ -53,20 +53,11 @@ class NetworkMetrics:
         }
 
 
-def _tie_graph(
-    network: CollaborationNetwork,
-    ties: Optional[List[Tuple[str, str, float]]] = None,
-) -> nx.Graph:
-    """Graph restricted to edges at/above the tie threshold.
-
-    Callers that already hold the tie list pass it in so the network's
-    cached view is computed exactly once per snapshot.
-    """
-    if ties is None:
-        ties = network.ties()
+def _tie_graph(network: CollaborationNetwork) -> nx.Graph:
+    """Graph restricted to edges at/above the tie threshold."""
     g = nx.Graph()
     g.add_nodes_from(network.member_ids)
-    for a, b, w in ties:
+    for a, b, w in network.ties():
         g.add_edge(a, b, weight=w)
     return g
 
@@ -74,7 +65,7 @@ def _tie_graph(
 def compute_metrics(network: CollaborationNetwork) -> NetworkMetrics:
     """Compute the standard metric snapshot of ``network``.
 
-    Bit-equal to :func:`compute_metrics_oracle`: the integer state
+    Bit-equal to the networkx implementation: the integer state
     (degrees, triangles, components) comes from the maintained tracker,
     and each float replicates the networkx formula — including
     ``nx.density``'s ``(m / (n * (n - 1))) * 2`` grouping, its integer
@@ -108,29 +99,6 @@ def compute_metrics(network: CollaborationNetwork) -> NetworkMetrics:
         ),
         inter_org_fraction=(len(inter) / len(ties)) if ties else 0.0,
         clustering=(tracker.clustering_sum(member_ids) / n) if n else 0.0,
-    )
-
-
-def compute_metrics_oracle(network: CollaborationNetwork) -> NetworkMetrics:
-    """The original networkx implementation, kept as the test oracle."""
-    ties = network.ties()
-    g = _tie_graph(network, ties)
-    n = g.number_of_nodes()
-    inter = network.inter_org_ties()
-    components = list(nx.connected_components(g)) if n else []
-    largest = max((len(c) for c in components), default=0)
-    return NetworkMetrics(
-        members=n,
-        ties=len(ties),
-        inter_org_ties=len(inter),
-        density=nx.density(g) if n > 1 else 0.0,
-        components=len(components),
-        largest_component_fraction=(largest / n) if n else 0.0,
-        mean_tie_strength=(
-            sum(w for _, _, w in ties) / len(ties) if ties else 0.0
-        ),
-        inter_org_fraction=(len(inter) / len(ties)) if ties else 0.0,
-        clustering=nx.average_clustering(g) if n else 0.0,
     )
 
 

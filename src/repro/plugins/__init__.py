@@ -15,9 +15,7 @@ environment variable:
 
 Every module exposes ``PLUGIN_NAME``, ``HEADLINE_KPI`` and a
 ``headline_check(seed=...)`` returning the family's characteristic KPI
-comparison — the CI smoke test runs one per family on both engines.
-Plugin scenarios run on the scalar engine; the batch backend counts
-them under ``batch_fallback_total{reason="plugin"}``.
+comparison.
 """
 
 __all__ = ["virtual", "hybrid", "adversarial"]

@@ -275,6 +275,12 @@ class AsyncReproServiceServer:
             if not sep:
                 raise _BadRequest(f"malformed header line {line!r}")
             headers[name.strip().lower()] = value.strip()
+        if "transfer-encoding" in headers:
+            # Bodies are framed by Content-Length only.  Reading a
+            # chunked body as empty would leave its chunks in the stream
+            # to be parsed as the next request, so refuse it (and, per
+            # RFC 9112, any request that sends both framings) and close.
+            raise _BadRequest("Transfer-Encoding is not supported")
         body = b""
         raw_length = headers.get("content-length", "0")
         try:

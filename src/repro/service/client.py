@@ -13,8 +13,7 @@ Progress is consumed by *streaming*, not polling: :meth:`watch_job`
 iterates the server's JSONL event stream (``GET /v1/jobs/{id}/events``)
 and yields each ``state`` / ``cell`` / ``retry`` / ``detach`` event as
 it happens, reconnecting with ``after=<last seq>`` if the connection
-drops.  The poll-based :meth:`wait` still works but is deprecated —
-see the README's migration table.
+drops.
 
 The convenience wrappers :meth:`compare` and :meth:`sweep` submit,
 stream to completion and rebuild the exact in-process result objects
@@ -30,7 +29,6 @@ import time
 import urllib.error
 import urllib.parse
 import urllib.request
-import warnings
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.errors import (
@@ -288,43 +286,6 @@ class ServiceClient:
                     )
                 break
         return self.job(job_id)
-
-    # -- polling (deprecated) ---------------------------------------------
-
-    def wait(
-        self,
-        job_id: str,
-        timeout: float = 60.0,
-        interval: float = 0.02,
-    ) -> Dict[str, Any]:
-        """Poll until the job is terminal; raise on failure/timeout.
-
-        .. deprecated::
-            Polling burns a request per ``interval``; stream instead:
-            ``for event in client.watch_job(job_id): ...`` or use
-            the streaming-based :meth:`compare` / :meth:`sweep`.
-        """
-        warnings.warn(
-            "ServiceClient.wait() polls; use watch_job() to stream "
-            "job events instead (see README: 'Migrating off polling')",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        deadline = time.monotonic() + timeout
-        while True:
-            snapshot = self.job(job_id)
-            if snapshot["state"] in _TERMINAL:
-                if snapshot["state"] == "failed":
-                    raise ReproError(
-                        f"job {job_id} failed: {snapshot['error']}"
-                    )
-                return snapshot
-            if time.monotonic() >= deadline:
-                raise ReproError(
-                    f"job {job_id} still {snapshot['state']} after "
-                    f"{timeout:g}s"
-                )
-            time.sleep(interval)
 
     # -- conveniences -----------------------------------------------------
 

@@ -49,7 +49,7 @@ from repro.meetings.agenda import (
     traditional_agenda,
 )
 from repro.meetings.mode import MODE_EFFECTS, MeetingMode, ModeEffects
-from repro.meetings.plenary import MeetingResult, MeetingSession, PlenaryMeeting
+from repro.meetings.plenary import MeetingResult, PlenaryMeeting
 from repro.cognition.learning import LearningModel
 from repro.network.dynamics import TieDynamics
 from repro.network.graph import CollaborationNetwork
@@ -214,15 +214,6 @@ class ProjectHistory:
         return [r for r in self.records if r.outcome is not None]
 
 
-@dataclass
-class _PlenaryContext:
-    """In-flight plenary state between ``_plenary_begin`` and ``_plenary_finish``."""
-
-    spec: PlenarySpec
-    hackathon: Optional[HackathonEvent]
-    session: MeetingSession
-
-
 class LongitudinalRunner:
     """Runs one scenario end to end."""
 
@@ -282,11 +273,6 @@ class LongitudinalRunner:
             self._history.workplan = self.workplan
             self._last_event_month = 0.0
             self._events_run = 0
-            # Batch lanes flip this on to route hackathon sessions,
-            # voting and surveys through their stacked fast paths
-            # (bit-equal by construction; pinned by the equivalence
-            # tests).  The scalar path keeps the reference kernels.
-            self._fast_paths = False
 
     # -- public -----------------------------------------------------------
 
@@ -323,20 +309,6 @@ class LongitudinalRunner:
 
     def _run_plenary_impl(self, now: float, spec: PlenarySpec) -> None:
         self._apply_inter_event_period(now)
-        ctx = self._plenary_begin(spec)
-        with span("sim.plenary.exchange", plenary=spec.name):
-            session = ctx.session
-            for item in session.agenda:
-                session.apply_item(session.prepare_item(item))
-        self._plenary_finish(now, ctx)
-
-    def _plenary_begin(self, spec: PlenarySpec) -> _PlenaryContext:
-        """Open the meeting session (agenda, hackathon wiring, attendance).
-
-        The world must already be aged to the plenary's month — the
-        scalar path does that in :meth:`_run_plenary_impl`, the batched
-        path in lockstep across lanes before touching any session.
-        """
         agenda = self._agenda_for(spec)
         hackathon: Optional[HackathonEvent] = None
         handler = None
@@ -348,12 +320,10 @@ class LongitudinalRunner:
             effects=effective_mode_effects(self.scenario, spec),
             remote_share=spec.remote_share,
         )
-        return _PlenaryContext(spec=spec, hackathon=hackathon, session=session)
-
-    def _plenary_finish(self, now: float, ctx: _PlenaryContext) -> None:
-        """Everything after the exchange: surveys, records, review."""
-        spec, hackathon = ctx.spec, ctx.hackathon
-        result = ctx.session.finish()
+        with span("sim.plenary.exchange", plenary=spec.name):
+            for item in session.agenda:
+                session.apply_item(session.prepare_item(item))
+        result = session.finish()
         outcome = None
         if hackathon is not None and hackathon.teams is not None:
             outcome = hackathon.finalize(
@@ -362,11 +332,7 @@ class LongitudinalRunner:
 
         with span("sim.plenary.observe", plenary=spec.name):
             with span("sim.plenary.survey", plenary=spec.name):
-                survey = (
-                    self.survey.collect_fast(result)
-                    if self._fast_paths
-                    else self.survey.collect(result)
-                )
+                survey = self.survey.collect(result)
             questionnaire_result = self._collect_questionnaire(result)
             comments = self.comment_generator.generate_all(
                 self._comment_engagements(result, spec), context=spec.name
@@ -471,7 +437,6 @@ class LongitudinalRunner:
             team_policy=policy,
             work_session=work_session,
             followups=self.followups,
-            fast_paths=self._fast_paths,
         )
 
     def _apply_inter_event_period(self, now: float) -> None:
@@ -505,26 +470,18 @@ class LongitudinalRunner:
             self._record_trajectory_point(current)
 
     def _record_trajectory_point(
-        self,
-        month: float,
-        event: Optional[str] = None,
-        mean_energy: Optional[float] = None,
+        self, month: float, event: Optional[str] = None
     ) -> None:
-        """Append one trajectory sample.
-
-        The batched ageing loop passes ``mean_energy`` computed from
-        its stacked recovery arrays (same values, same sum order); the
-        scalar path reads the roster.
-        """
-        if mean_energy is None:
-            mean_energy = BurnoutModel.mean_energy(self.consortium.members)
+        """Append one trajectory sample."""
         with span("sim.trajectory", month=month):
             self._history.trajectory.record(
                 TrajectoryPoint(
                     month=month,
                     inter_org_ties=len(self.network.inter_org_ties()),
                     total_tie_strength=self.network.total_strength(),
-                    mean_energy=mean_energy,
+                    mean_energy=BurnoutModel.mean_energy(
+                        self.consortium.members
+                    ),
                     event=event,
                 )
             )

@@ -103,8 +103,7 @@ class Scenario:
     horizon_months: Optional[float] = None
     #: Global modifiers a scenario plugin can turn on.  All of them
     #: default to the identity, so classic scenarios keep bit-identical
-    #: KPIs; any non-identity value below routes the scenario through
-    #: the scalar engine (``batch_fallback_total{reason="plugin"}``).
+    #: KPIs.
     #:
     #: ``engagement_scale`` / ``mixing_scale`` attenuate session
     #: engagement and spontaneous mixing on top of the meeting mode —
@@ -183,23 +182,6 @@ class Scenario:
 
     def hackathon_count(self) -> int:
         return sum(1 for p in self.plenaries if p.is_hackathon)
-
-    def uses_plugin_modifiers(self) -> bool:
-        """True when any plugin-facing knob departs from the identity.
-
-        Such scenarios run on the scalar engine: the batched exchange
-        kernel reproduces the *classic* arithmetic bit-for-bit, and
-        modifier scenarios (per-member factors, hybrid lanes,
-        withholding) deliberately change that arithmetic.  The batch
-        backend counts them under ``batch_fallback_total{reason="plugin"}``.
-        """
-        return (
-            self.engagement_scale != 1.0
-            or self.mixing_scale != 1.0
-            or self.free_rider_share > 0.0
-            or self.withholding_share > 0.0
-            or any(p.remote_share is not None for p in self.plenaries)
-        )
 
 
 def megamart_timeline(

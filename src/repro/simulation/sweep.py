@@ -7,25 +7,17 @@ follow-up horizon) in three lines.
 
 The sweep is spelled ``parameter`` / ``values`` / ``factory``
 everywhere in the public API — the facade (:mod:`repro.api`), the HTTP
-job parameters and this module all agree.  The pre-1.x spellings
-(``parameter_name=``/``parameter_values=``/``scenario_factory=``)
-still work but emit a :class:`DeprecationWarning`; see the migration
-table in README.
+job parameters and this module all agree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.obs import span
-from repro.simulation.experiment import (
-    _pop_legacy_kwarg,
-    _reject_unknown_kwargs,
-    _run_many,
-    extract_metrics,
-)
+from repro.simulation.experiment import _run_many, extract_metrics
 from repro.simulation.runner import LongitudinalRunner
 from repro.simulation.scenario import Scenario
 from repro.stats.summary import SampleSummary, describe
@@ -119,17 +111,15 @@ def sweep_from_metrics(
 
 
 def run_sweep(
-    parameter: Optional[str] = None,
-    values: Optional[Sequence[object]] = None,
-    factory: Optional[Callable[[object, int], Scenario]] = None,
+    parameter: str,
+    values: Sequence[object],
+    factory: Callable[[object, int], Scenario],
     seeds: Sequence[int] = (),
     runner_factory: Optional[
         Callable[[Scenario], LongitudinalRunner]
     ] = None,
     label_fn: Optional[Callable[[object], str]] = None,
     workers: int = 1,
-    backend: str = "auto",
-    **legacy: Any,
 ) -> SweepResult:
     """Run a full sweep.
 
@@ -149,31 +139,10 @@ def run_sweep(
         Optional pretty-printer for parameter values.
     workers:
         Processes to spread the ``len(values) * len(seeds)`` grid over.
-        Point/seed ordering and results match a serial run.
-    backend:
-        ``"auto"`` / ``"batch"`` / ``"scalar"``.  Under the batched
-        engine each parameter value's seeds run as one stacked
-        computation (seeds of one value share a scenario family;
-        different values do not batch together).
-
-    ``parameter_name=``/``parameter_values=``/``scenario_factory=`` are
-    deprecated aliases for ``parameter=``/``values=``/``factory=`` and
-    emit a :class:`DeprecationWarning`.
+        Point/seed ordering and results match a serial run.  Run
+        serially, cells that differ only in run-time fields (plenary
+        timing, team policy, ...) clone one world template per seed.
     """
-    parameter = _pop_legacy_kwarg(
-        legacy, "parameter_name", "parameter", parameter
-    )
-    values = _pop_legacy_kwarg(
-        legacy, "parameter_values", "values", values
-    )
-    factory = _pop_legacy_kwarg(
-        legacy, "scenario_factory", "factory", factory
-    )
-    _reject_unknown_kwargs("run_sweep", legacy)
-    if parameter is None or factory is None:
-        raise ConfigurationError(
-            "run_sweep needs a parameter name and a scenario factory"
-        )
     if not values:
         raise ConfigurationError("sweep needs at least one parameter value")
     if not seeds:
@@ -185,7 +154,7 @@ def run_sweep(
     ]
     with span("experiment.sweep", parameter=parameter,
               points=len(values), seeds=len(seeds)):
-        histories = _run_many(scenarios, runner_factory, workers, backend)
+        histories = _run_many(scenarios, runner_factory, workers)
         with span("experiment.extract_metrics", runs=len(histories)):
             per_point = len(seeds)
             chunks = [

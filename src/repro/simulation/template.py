@@ -1,21 +1,23 @@
-"""Template-cloned world setup for the batch engine.
+"""Template-cloned world setup: build a world once, run it many times.
 
 ``LongitudinalRunner.__init__`` builds the full object graph — the
 27-organisation consortium roster (seed-dependent staff draws), the
-framework, the work plan, the RNG hub — and the batch engine used to
-re-run that builder once per seed lane on *every* request.  The world a
-setup produces is a pure function of the scenario's setup-relevant
-fields (master seed, horizon, burnout recovery, adversarial shares), so
-this module memoizes the initialized runner per setup fingerprint and
-materializes lanes by cloning the pickled template (~5x cheaper than
-building, measured) instead of re-running the builder.
+framework, the work plan, the RNG hub.  The world a setup produces is a
+pure function of the scenario's setup-relevant fields (master seed,
+horizon, burnout recovery, adversarial shares), so this module memoizes
+the initialized runner per setup fingerprint and materializes runners
+by cloning the pickled template (~3 ms, against ~14 ms to build) instead
+of re-running the builder.  Every run without a custom
+``runner_factory`` gets its runner here
+(:func:`repro.simulation.experiment._run_history`).
 
 Two properties make the clone safe:
 
 * the pickle round-trip restores the RNG hub (and every consumed
-  substream) bit-exactly, so a cloned lane replays the identical draw
-  sequence a freshly built runner would — ``tests/test_perf_equivalence.py``
-  pins batch-vs-scalar KPI equality on top of this path;
+  substream) bit-exactly, so a cloned runner replays the identical draw
+  sequence a freshly built runner would — ``tests/test_oracles.py`` and
+  ``tests/test_perf_equivalence.py`` pin KPI equality with freshly built
+  reference runners on top of this path;
 * every *run-time* scenario field (plenaries, team policy, follow-up
   switch, ...) is read from ``runner.scenario``, which
   :func:`template_runner` re-points at the exact scenario requested, so
@@ -72,13 +74,15 @@ _MAX_TEMPLATES = 256
 _lock = threading.Lock()
 _cache: "OrderedDict[str, bytes]" = OrderedDict()
 
+# The names keep their historical ``batch_`` prefix: dashboards and
+# perfbench read them.
 _HITS = REGISTRY.counter(
     "batch_template_hits_total",
-    help="Batch lane setups served by cloning a cached world template",
+    help="Runner setups served by cloning a cached world template",
 )
 _MISSES = REGISTRY.counter(
     "batch_template_misses_total",
-    help="Batch lane setups that built (and cached) a fresh world template",
+    help="Runner setups that built (and cached) a fresh world template",
 )
 
 
@@ -109,7 +113,7 @@ def template_runner(scenario: Scenario) -> LongitudinalRunner:
 
     On a miss the freshly built runner is returned directly (its pickle
     is what gets cached), so the cold path pays one ``pickle.dumps``
-    over the plain builder; every later lane with the same setup
+    over the plain builder; every later runner with the same setup
     fingerprint costs one ``pickle.loads``.
     """
     key = setup_fingerprint(scenario)

@@ -54,21 +54,12 @@ from concurrent.futures import (
 
 from repro.errors import ConfigurationError, RunCancelled, WorkerCrashError
 from repro.obs import REGISTRY, span
-from repro.simulation.batch import (
-    BatchRunner,
-    record_fallback,
-    scenario_family,
-)
 from repro.simulation.experiment import (
     ComparisonResult,
-    _check_backend,
     _picklable,
-    _pop_legacy_kwarg,
-    _reject_unknown_kwargs,
     _run_metrics,
     comparison_from_metrics,
     effective_workers,
-    extract_metrics,
 )
 from repro.simulation.runner import LongitudinalRunner
 from repro.simulation.scenario import Scenario
@@ -284,7 +275,6 @@ class RunCache:
         workers: int = 1,
         on_cell: Optional[Callable[[int, bool], None]] = None,
         should_cancel: Optional[Callable[[], bool]] = None,
-        backend: str = "auto",
         pool: Optional[WorkerPool] = None,
     ) -> List[Dict[str, float]]:
         """KPI dictionaries for already-seeded scenarios, in input order.
@@ -296,16 +286,11 @@ class RunCache:
         ``should_cancel`` is polled between cells; when it turns true
         the call raises :class:`~repro.errors.RunCancelled` — every
         cell already stored stays stored, so a later retry resumes.
-        ``backend`` selects the execution engine for the missing cells
-        (see :data:`~repro.simulation.experiment.BACKENDS`); cached
-        cells are backend-independent because the batched engine is
-        bit-equal to the scalar one.  ``pool`` computes the missing
-        cells on a caller-owned :class:`WorkerPool` (the scheduler's);
+        ``pool`` computes the missing cells on a caller-owned :class:`WorkerPool` (the scheduler's);
         without one, ``workers > 1`` opens a pool for this call only.
         """
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        _check_backend(backend)
         # ``workers`` is taken at face value here: the library wrappers
         # below clamp to the core count.
         with span("store.fetch", cells=len(scenarios), workers=workers):
@@ -333,11 +318,11 @@ class RunCache:
                 with WorkerPool(min(workers, len(missing))) as own:
                     self._resolve_missing(scenarios, fingerprints, metrics,
                                           missing, own, on_cell,
-                                          should_cancel, backend)
+                                          should_cancel)
             elif missing:
                 self._resolve_missing(scenarios, fingerprints, metrics,
                                       missing, pool, on_cell,
-                                      should_cancel, backend)
+                                      should_cancel)
         return metrics  # type: ignore[return-value]
 
     def _resolve_missing(
@@ -349,7 +334,6 @@ class RunCache:
         pool: Optional[WorkerPool],
         on_cell: Optional[Callable[[int, bool], None]],
         should_cancel: Optional[Callable[[], bool]],
-        backend: str = "auto",
     ) -> None:
         """Claim the free missing cells, compute them, then await the rest.
 
@@ -382,7 +366,7 @@ class RunCache:
                 if claims:
                     self._compute_claimed(scenarios, fingerprints, metrics,
                                           claims, pool, on_cell,
-                                          should_cancel, backend)
+                                          should_cancel)
             finally:
                 with self._inflight_lock:
                     for key in claims:
@@ -430,7 +414,6 @@ class RunCache:
         pool: Optional[WorkerPool],
         on_cell: Optional[Callable[[int, bool], None]],
         should_cancel: Optional[Callable[[], bool]],
-        backend: str = "auto",
     ) -> None:
         """Run the claimed cells, persisting each as soon as it lands.
 
@@ -491,15 +474,12 @@ class RunCache:
                    for key in to_compute]
         if cancelled():
             raise RunCancelled("cancelled before computing cells")
-        pooled = pool is not None and _picklable(
+        if pool is not None and _picklable(
             ([s for _, s in pending], self.runner_factory)
-        )
-        if backend == "batch":
-            pooled = False  # an explicit batch request wins over a pool
-        if pooled:
+        ):
             self._compute_pooled(pool, pending, store, cancelled)
         else:
-            self._compute_serial(pending, store, cancelled, backend)
+            self._compute_serial(pending, store, cancelled)
 
     def _compute_pooled(
         self,
@@ -553,52 +533,12 @@ class RunCache:
         pending: List[Tuple[int, Scenario]],
         store: Callable[[int, Dict[str, float]], None],
         cancelled: Callable[[], bool],
-        backend: str,
     ) -> None:
-        """Compute pending cells in-process, batching when eligible.
-
-        Under ``backend != "scalar"`` cells of one scenario family run
-        through :class:`~repro.simulation.batch.BatchRunner` as a single
-        stacked computation; each lane's KPIs still persist per cell, so
-        cancellation (polled between groups — a batch is one indivisible
-        computation) and resume behave exactly as on the scalar path.
-        """
-        groups: Optional[Dict[str, List[Tuple[int, Scenario]]]] = None
-        if backend != "scalar":
-            if self.runner_factory is not None:
-                record_fallback("runner_factory")
-            elif len(pending) < 2:
-                record_fallback("single_run")
-            else:
-                groups = {}
-                for i, scenario in pending:
-                    groups.setdefault(
-                        scenario_family(scenario), []
-                    ).append((i, scenario))
-        if groups is None:
-            for i, scenario in pending:
-                if cancelled():
-                    raise RunCancelled("cancelled mid-computation")
-                store(i, _run_metrics(scenario, self.runner_factory))
-            return
-        for members in groups.values():
+        """Compute pending cells in-process, polling cancel between cells."""
+        for i, scenario in pending:
             if cancelled():
                 raise RunCancelled("cancelled mid-computation")
-            if len(members) == 1:
-                record_fallback("singleton_family")
-                i, scenario = members[0]
-                store(i, _run_metrics(scenario, None))
-                continue
-            if members[0][1].uses_plugin_modifiers():
-                record_fallback("plugin")
-                for i, scenario in members:
-                    if cancelled():
-                        raise RunCancelled("cancelled mid-computation")
-                    store(i, _run_metrics(scenario, None))
-                continue
-            histories = BatchRunner([s for _, s in members]).run()
-            for (i, _), history in zip(members, histories):
-                store(i, extract_metrics(history))
+            store(i, _run_metrics(scenario, self.runner_factory))
 
     # -- experiment API ---------------------------------------------------
 
@@ -607,44 +547,28 @@ class RunCache:
         scenario: Scenario,
         seeds: Sequence[int],
         workers: int = 1,
-        backend: str = "auto",
     ) -> List[Dict[str, float]]:
         """KPI dictionaries of ``scenario`` under each seed, memoized."""
         if not seeds:
             raise ConfigurationError("need at least one seed")
         seeded = [scenario.with_seed(int(seed)) for seed in seeds]
-        return self.fetch_metrics(seeded, workers=effective_workers(workers),
-                                  backend=backend)
+        return self.fetch_metrics(seeded, workers=effective_workers(workers))
 
     def compare_scenarios(
         self,
-        a: Optional[Scenario] = None,
-        b: Optional[Scenario] = None,
+        a: Scenario,
+        b: Scenario,
         seeds: Sequence[int] = (),
         workers: int = 1,
-        backend: str = "auto",
-        **legacy: Any,
     ) -> ComparisonResult:
-        """Memoized :func:`~repro.simulation.experiment.compare_scenarios`.
-
-        ``scenario_a=``/``scenario_b=`` are deprecated aliases for
-        ``a=``/``b=`` and emit a :class:`DeprecationWarning`.
-        """
-        a = _pop_legacy_kwarg(legacy, "scenario_a", "a", a)
-        b = _pop_legacy_kwarg(legacy, "scenario_b", "b", b)
-        _reject_unknown_kwargs("compare_scenarios", legacy)
-        if a is None or b is None:
-            raise ConfigurationError(
-                "compare_scenarios needs scenarios a and b"
-            )
+        """Memoized :func:`~repro.simulation.experiment.compare_scenarios`."""
         if not seeds:
             raise ConfigurationError("need at least one seed")
         seeded = [a.with_seed(int(s)) for s in seeds] + [
             b.with_seed(int(s)) for s in seeds
         ]
         metrics = self.fetch_metrics(seeded,
-                                     workers=effective_workers(workers),
-                                     backend=backend)
+                                     workers=effective_workers(workers))
         return comparison_from_metrics(
             a.name,
             b.name,
@@ -655,39 +579,19 @@ class RunCache:
 
     def run_sweep(
         self,
-        parameter: Optional[str] = None,
-        values: Optional[Sequence[object]] = None,
-        factory: Optional[Callable[[object, int], Scenario]] = None,
+        parameter: str,
+        values: Sequence[object],
+        factory: Callable[[object, int], Scenario],
         seeds: Sequence[int] = (),
         label_fn: Optional[Callable[[object], str]] = None,
         workers: int = 1,
-        backend: str = "auto",
-        **legacy: Any,
     ) -> SweepResult:
         """Memoized :func:`~repro.simulation.sweep.run_sweep`.
 
         Resume comes for free: a sweep interrupted mid-grid, or extended
         with new parameter values or seeds, recomputes only the
         ``(value, seed)`` cells absent from the store.
-
-        ``parameter_name=``/``parameter_values=``/``scenario_factory=``
-        are deprecated aliases for ``parameter=``/``values=``/
-        ``factory=`` and emit a :class:`DeprecationWarning`.
         """
-        parameter = _pop_legacy_kwarg(
-            legacy, "parameter_name", "parameter", parameter
-        )
-        values = _pop_legacy_kwarg(
-            legacy, "parameter_values", "values", values
-        )
-        factory = _pop_legacy_kwarg(
-            legacy, "scenario_factory", "factory", factory
-        )
-        _reject_unknown_kwargs("run_sweep", legacy)
-        if parameter is None or factory is None:
-            raise ConfigurationError(
-                "run_sweep needs a parameter name and a scenario factory"
-            )
         if not values:
             raise ConfigurationError(
                 "sweep needs at least one parameter value"
@@ -700,8 +604,7 @@ class RunCache:
             for seed in seeds
         ]
         metrics = self.fetch_metrics(scenarios,
-                                     workers=effective_workers(workers),
-                                     backend=backend)
+                                     workers=effective_workers(workers))
         per_point = len(seeds)
         chunks = [
             metrics[i * per_point : (i + 1) * per_point]

@@ -165,60 +165,43 @@ class TestFacadeTracing:
 
 
 class TestDeprecatedKwargs:
-    def test_compare_scenarios_legacy_names_warn(self):
-        with pytest.warns(DeprecationWarning, match="scenario_a"):
-            result = compare_scenarios(
-                scenario_a=megamart_timeline(),
-                scenario_b=baseline_timeline(),
-                seeds=[0],
-            )
-        assert result.name_a == megamart_timeline().name
+    """The pre-1.x spellings (``scenario_a``/``scenario_b``,
+    ``parameter_name``/``parameter_values``/``scenario_factory``) and
+    ``backend=`` are removed: each is an unknown keyword now."""
 
     def test_both_spellings_is_an_error(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigurationError, match="both"):
-                compare_scenarios(
-                    megamart_timeline(),
-                    scenario_a=megamart_timeline(),
-                    seeds=[0],
-                )
+        with pytest.raises(TypeError, match="scenario_a"):
+            compare_scenarios(
+                megamart_timeline(),
+                scenario_a=megamart_timeline(),
+                seeds=[0],
+            )
 
-    def test_unknown_kwarg_is_a_type_error(self):
+    def test_unknown_kwarg_is_a_type_error(self, tmp_path):
         with pytest.raises(TypeError, match="scenario_c"):
             compare_scenarios(
                 megamart_timeline(), baseline_timeline(), seeds=[0],
                 scenario_c=baseline_timeline(),
             )
-
-    def test_run_sweep_legacy_names_warn(self):
-        values, factory, label_fn = sweep_plan("cadence", [2.0])
-        with pytest.warns(DeprecationWarning, match="parameter_name"):
-            result = run_sweep(
-                parameter_name="cadence",
-                parameter_values=values,
-                scenario_factory=factory,
-                seeds=[0],
-            )
-        assert result.parameter_name == "cadence"
-
-    def test_runcache_methods_accept_legacy_names(self, tmp_path):
         cache = RunCache(tmp_path / "store")
-        with pytest.warns(DeprecationWarning):
-            result = cache.compare_scenarios(
-                scenario_a=megamart_timeline(),
-                scenario_b=baseline_timeline(),
-                seeds=[0],
-            )
-        assert result.name_a == megamart_timeline().name
-        values, factory, label_fn = sweep_plan("cadence", [2.0])
-        with pytest.warns(DeprecationWarning):
-            sweep_result = cache.run_sweep(
-                parameter_name="cadence",
-                parameter_values=values,
-                scenario_factory=factory,
-                seeds=[0],
-            )
-        assert sweep_result.parameter_name == "cadence"
+        for compare in (compare_scenarios, cache.compare_scenarios):
+            with pytest.raises(TypeError, match="scenario_b"):
+                compare(megamart_timeline(), scenario_b=baseline_timeline(),
+                        seeds=[0])
+            with pytest.raises(TypeError, match="backend"):
+                compare(megamart_timeline(), baseline_timeline(),
+                        seeds=[0], backend="scalar")
+        values, factory, _ = sweep_plan("cadence", [2.0])
+        for sweep in (run_sweep, cache.run_sweep):
+            with pytest.raises(TypeError, match="parameter_name"):
+                sweep(parameter_name="cadence", values=values,
+                      factory=factory, seeds=[0])
+            with pytest.raises(TypeError, match="scenario_factory"):
+                sweep("cadence", values, scenario_factory=factory,
+                      seeds=[0])
+        for call in (api.replicate, api.compare, api.sweep):
+            with pytest.raises(TypeError, match="backend"):
+                call(seeds=1, backend="batch")
 
     def test_new_spellings_do_not_warn(self):
         with warnings.catch_warnings():
@@ -247,7 +230,7 @@ class TestSubmitJob:
         )
         assert job["state"] in ("queued", "running", "done")
         client = ServiceClient(service)
-        client.wait(job["id"], timeout=15)
+        client._await(job["id"], timeout=15)
         assert client.result(job["id"])["metrics"] == [{"kpi": 7.0}]
 
     def test_bad_kind_raises(self, service):

@@ -3,11 +3,13 @@
 ``compute_metrics`` derives every float from the incrementally
 maintained tie-graph state (:mod:`repro.network.incremental`); the
 original networkx implementation is retained as
-``compute_metrics_oracle``.  These tests pin the two **bit-equal**
-under randomized tie add/decay histories — no tolerance, ``==`` on the
-raw dataclasses — plus the same parity for the networkx-backed helper
-views (``bridge_members``, ``isolated_organizations``) against brute
-force, and the world-template cache that clones batch lanes.
+``compute_metrics_oracle`` in ``tests/oracles.py``.  These tests pin
+the two **bit-equal** under randomized tie add/decay histories — no
+tolerance, ``==`` on the raw dataclasses — plus the same parity for the
+networkx-backed helper views (``bridge_members``,
+``isolated_organizations``) against brute force, the world-template
+cache every default runner is cloned from, and the fast session kernel
+against its reference.
 """
 
 from __future__ import annotations
@@ -20,9 +22,10 @@ from repro.network.graph import CollaborationNetwork
 from repro.network.metrics import (
     bridge_members,
     compute_metrics,
-    compute_metrics_oracle,
     isolated_organizations,
 )
+
+from oracles import ReferenceRunner, compute_metrics_oracle, reference_kpis
 
 MEMBERS = [(f"m{i:02d}", f"org{i % 4}") for i in range(10)]
 PAIRS = [
@@ -154,7 +157,7 @@ class TestHelperViews:
 
 
 class TestTemplateCache:
-    """The pickled world templates that batch lanes are cloned from."""
+    """The pickled world templates every default runner is cloned from."""
 
     def _scenario(self, seed=0):
         from repro.simulation.scenario import megamart_timeline
@@ -238,22 +241,20 @@ class TestTemplateCache:
         assert setup_fingerprint(scenario) != before
         seeds = [0, 1]
         assert [
-            extract_metrics(h)
-            for h in replicate(scenario, seeds, backend="batch")
-        ] == [
-            extract_metrics(h)
-            for h in replicate(scenario, seeds, backend="scalar")
-        ]
+            extract_metrics(h) for h in replicate(scenario, seeds)
+        ] == [reference_kpis(scenario.with_seed(s)) for s in seeds]
 
 
 class TestFastPathKernels:
-    """The stacked per-plenary kernels batch lanes route through."""
+    """The fast per-plenary kernels against their tests-side references."""
 
     def test_work_session_run_many_matches_scalar_runs(self):
         from repro.consortium.presets import small_consortium
         from repro.core.challenge import ChallengeCall, generate_challenges
         from repro.core.session import WorkSession
         from repro.core.teams import RandomFormation
+
+        from oracles import work_session_run
         from repro.framework.catalog import build_framework
         from repro.rng import RngHub
 
@@ -271,7 +272,8 @@ class TestFastPathKernels:
         teams_a, session_a = build(RngHub(seed=77))
         teams_b, session_b = build(RngHub(seed=77))
         fast = session_a.run_many(teams_a, hours=4.0)
-        slow = [session_b.run(team, hours=4.0) for team in teams_b]
+        slow = [work_session_run(session_b, team, hours=4.0)
+                for team in teams_b]
         assert fast == slow
         # Member energy write-back must agree too.
         assert [m.energy for t in teams_a for m in t.members] == [
@@ -279,15 +281,14 @@ class TestFastPathKernels:
         ]
 
     def test_fast_paths_runner_matches_reference_runner(self):
-        """One full run with every fast path on equals the scalar
-        reference — sessions, voting tally and surveys together."""
+        """One full production run equals the reference runner —
+        sessions, voting tally, surveys and network metrics together."""
         from repro.simulation.runner import LongitudinalRunner
         from repro.simulation.scenario import megamart_timeline
 
         scenario = megamart_timeline(seed=5)
         fast = LongitudinalRunner(scenario)
-        fast._fast_paths = True
-        reference = LongitudinalRunner(scenario)
+        reference = ReferenceRunner(scenario)
         fast_history = fast.run()
         reference_history = reference.run()
         assert dict(fast_history.totals) == dict(reference_history.totals)
@@ -302,4 +303,7 @@ class TestFastPathKernels:
             r.outcome.scores
             for r in reference_history.records
             if r.outcome is not None
+        ]
+        assert [r.network_metrics for r in fast_history.records] == [
+            r.network_metrics for r in reference_history.records
         ]

@@ -306,18 +306,15 @@ class TestEndToEnd:
         assert span_coverage(roots[0]) >= 0.9
         names = {s.name for s, _ in roots[0].walk()}
         assert "experiment.run_many" in names
-        # The default backend stacks each arm's seeds into one batch.
-        assert "sim.batch" in names
+        assert "sim.run" in names
         assert "sim.plenary" in names
 
     def test_traced_scalar_compare_keeps_per_run_spans(self, tmp_path):
         path = tmp_path / "compare-scalar.jsonl"
         with tracing(path):
             compare_scenarios(
-                megamart_timeline(), baseline_timeline(), seeds=range(2),
-                backend="scalar",
+                megamart_timeline(), baseline_timeline(), seeds=range(2)
             )
         roots = spans_from_jsonl(path.read_text().splitlines())
-        names = {s.name for s, _ in roots[0].walk()}
-        assert "sim.run" in names
-        assert "sim.batch" not in names
+        runs = [s for s, _ in roots[0].walk() if s.name == "sim.run"]
+        assert len(runs) == 4  # one per (arm, seed)

@@ -11,8 +11,9 @@ tests pin each rewrite against an independent reference:
   dict;
 * the ties/inter-org caches against explicit invalidation on every
   mutating network operation;
-* the batched (structure-of-arrays) engine against the scalar
-  one-run-per-seed path, again KPI dict for KPI dict.
+* multi-seed calls (fast kernels, cloned world templates) against the
+  reference runner of ``tests/oracles.py``, one fresh world per seed,
+  again KPI dict for KPI dict.
 """
 
 import math
@@ -36,6 +37,8 @@ from repro.simulation.scenario import (
     interleaved_timeline,
     megamart_timeline,
 )
+
+from oracles import reference_kpis
 
 # ---------------------------------------------------------------------------
 # Reference implementation: the pre-vectorization dict semantics.
@@ -224,7 +227,7 @@ class TestTiesCacheInvalidation:
 
 
 # ---------------------------------------------------------------------------
-# Batched engine: bit-identical to the scalar path.
+# Multi-seed calls: bit-identical to the reference runner, seed by seed.
 # ---------------------------------------------------------------------------
 
 
@@ -232,18 +235,19 @@ def _kpis(scenario, seeds, **kwargs):
     return [extract_metrics(h) for h in replicate(scenario, seeds, **kwargs)]
 
 
-def _fallbacks(reason):
-    return REGISTRY.snapshot().get(
-        f'batch_fallback_total{{reason="{reason}"}}', 0.0
-    )
+def _reference(scenario, seeds):
+    return [reference_kpis(scenario.with_seed(s)) for s in seeds]
 
 
 class TestBatchEquivalence:
-    """Stacked lanes must reproduce the scalar KPIs bit for bit.
+    """A batch of seeds run in one call must reproduce, seed for seed,
+    what the scalar reference runner (``tests/oracles.py``: reference
+    kernels, a freshly built world per seed) produces.
 
-    No tolerance anywhere: the batched kernels were built to execute
-    the same floating-point operations in the same order as the scalar
-    engine, so ``==`` on the raw KPI dictionaries is the contract.
+    No tolerance anywhere: ``==`` on the raw KPI dictionaries.  Runs in
+    one call clone world templates the earlier runs cached, so these
+    tests also pin that a seed's KPIs do not depend on which other seeds
+    share its call, or in what order.
     """
 
     @pytest.mark.parametrize(
@@ -255,106 +259,69 @@ class TestBatchEquivalence:
     def test_batch_matches_scalar(self, factory, n):
         scenario = factory(seed=0)
         seeds = list(range(n))
-        assert _kpis(scenario, seeds, backend="batch") == _kpis(
-            scenario, seeds, backend="scalar"
-        )
+        assert _kpis(scenario, seeds) == _reference(scenario, seeds)
 
     def test_batch_matches_scalar_100_seeds(self):
         scenario = megamart_timeline(seed=0)
         seeds = list(range(100))
-        assert _kpis(scenario, seeds, backend="batch") == _kpis(
-            scenario, seeds, backend="scalar"
-        )
+        assert _kpis(scenario, seeds) == _reference(scenario, seeds)
 
     def test_compare_scenarios_batch_matches_scalar(self):
         a, b = megamart_timeline(seed=0), baseline_timeline(seed=0)
-        batch = compare_scenarios(a, b, [1, 2, 3], backend="batch")
-        scalar = compare_scenarios(a, b, [1, 2, 3], backend="scalar")
-        assert batch.metrics_a == scalar.metrics_a
-        assert batch.metrics_b == scalar.metrics_b
+        result = compare_scenarios(a, b, [1, 2, 3])
+        assert result.metrics_a == _reference(a, [1, 2, 3])
+        assert result.metrics_b == _reference(b, [1, 2, 3])
 
     def test_lane_order_invariance(self):
-        """A lane's KPIs depend only on its seed, not its position."""
+        """A seed's KPIs depend only on its seed, not its position."""
         scenario = megamart_timeline(seed=0)
-        ordered = _kpis(scenario, [3, 5, 8, 13], backend="batch")
-        shuffled = _kpis(scenario, [13, 3, 8, 5], backend="batch")
+        ordered = _kpis(scenario, [3, 5, 8, 13])
+        shuffled = _kpis(scenario, [13, 3, 8, 5])
         by_seed = dict(zip([13, 3, 8, 5], shuffled))
         assert [by_seed[s] for s in [3, 5, 8, 13]] == ordered
 
     def test_batch_size_invariance(self):
-        """A seed's KPIs do not change with who shares the batch."""
+        """A seed's KPIs do not change with who shares the call."""
         scenario = megamart_timeline(seed=0)
-        alone = _kpis(scenario, [7], backend="scalar")[0]
-        in_small = _kpis(scenario, [6, 7], backend="batch")[1]
-        in_large = _kpis(scenario, [5, 6, 7, 8, 9], backend="batch")[2]
+        alone = _reference(scenario, [7])[0]
+        in_small = _kpis(scenario, [6, 7])[1]
+        in_large = _kpis(scenario, [5, 6, 7, 8, 9])[2]
         assert alone == in_small == in_large
 
     def test_duplicate_seeds_share_results(self):
         scenario = megamart_timeline(seed=0)
-        twice = _kpis(scenario, [9, 9, 2], backend="batch")
+        twice = _kpis(scenario, [9, 9, 2])
         assert twice[0] == twice[1]
-        assert twice[0] == _kpis(scenario, [9], backend="scalar")[0]
-
-    def test_auto_backend_matches_scalar(self):
-        scenario = interleaved_timeline(seed=0)
-        assert _kpis(scenario, [1, 2, 3], backend="auto") == _kpis(
-            scenario, [1, 2, 3], backend="scalar"
-        )
+        assert twice[0] == _reference(scenario, [9])[0]
 
     def test_unknown_backend_rejected(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            replicate(megamart_timeline(seed=0), [1, 2], backend="bogus")
+        """There is one engine: ``backend=`` is not an option at all."""
+        with pytest.raises(TypeError, match="backend"):
+            replicate(megamart_timeline(seed=0), [1, 2], backend="scalar")
 
 
 class TestBatchFallbacks:
-    """Requests the batch engine cannot serve fall back, counted."""
-
     def test_runner_factory_falls_back(self):
+        """A custom ``runner_factory`` bypasses the world-template cache:
+        every run is built by the factory, with unchanged KPIs."""
         from repro.simulation.runner import LongitudinalRunner
 
         scenario = megamart_timeline(seed=0)
         factory = lambda sc: LongitudinalRunner(sc)  # noqa: E731
-        before = _fallbacks("runner_factory")
-        via_factory = [
-            extract_metrics(h)
-            for h in replicate(scenario, [1, 2], runner_factory=factory,
-                               backend="batch")
-        ]
-        assert _fallbacks("runner_factory") == before + 1
-        assert via_factory == _kpis(scenario, [1, 2], backend="scalar")
 
-    def test_single_run_falls_back(self):
-        before = _fallbacks("single_run")
-        replicate(megamart_timeline(seed=0), [4], backend="batch")
-        assert _fallbacks("single_run") == before + 1
+        def template_lookups():
+            snap = REGISTRY.snapshot()
+            return (snap.get("batch_template_hits_total", 0.0)
+                    + snap.get("batch_template_misses_total", 0.0))
 
-    def test_batch_lanes_histogram_observed(self):
-        before = REGISTRY.snapshot().get("batch_lanes", {"count": 0})
-        replicate(megamart_timeline(seed=0), [1, 2, 3], backend="batch")
-        after = REGISTRY.snapshot()["batch_lanes"]
-        assert after["count"] == before["count"] + 1
-        assert after["sum"] == before.get("sum", 0.0) + 3
-
-    def test_batch_span_emitted(self, tmp_path):
-        from repro.obs import tracing
-
-        path = tmp_path / "batch.jsonl"
-        with tracing(path):
-            replicate(megamart_timeline(seed=0), [1, 2], backend="batch")
-        import json
-
-        names = {
-            json.loads(line)["name"]
-            for line in path.read_text().splitlines() if line.strip()
-        }
-        assert "sim.batch" in names
-        assert "sim.plenary" in names
+        before = template_lookups()
+        via_factory = _kpis(scenario, [1, 2], runner_factory=factory)
+        assert template_lookups() == before
+        assert via_factory == _reference(scenario, [1, 2])
 
 
 class TestRunCacheBatch:
-    """The cache stores batch-computed cells bit-identically."""
+    """The cache stores a batch of computed cells bit-identically."""
 
     def test_cold_batch_fill_matches_scalar_and_warm_reads(self, tmp_path):
         from repro.store.runcache import RunCache
@@ -362,12 +329,10 @@ class TestRunCacheBatch:
         scenario = megamart_timeline(seed=0)
         seeds = [1, 2, 3]
         cache = RunCache(tmp_path / "store")
-        cold = cache.replicate(scenario, seeds, backend="batch")
+        cold = cache.replicate(scenario, seeds)
         assert cache.session_misses == 3
-        assert cold == _kpis(scenario, seeds, backend="scalar")
-        warm = RunCache(tmp_path / "store").replicate(
-            scenario, seeds, backend="scalar"
-        )
+        assert cold == _reference(scenario, seeds)
+        warm = RunCache(tmp_path / "store").replicate(scenario, seeds)
         assert warm == cold
 
     def test_partial_hits_batch_only_the_missing_cells(self, tmp_path):
@@ -375,11 +340,11 @@ class TestRunCacheBatch:
 
         scenario = megamart_timeline(seed=0)
         cache = RunCache(tmp_path / "store")
-        cache.replicate(scenario, [1, 2], backend="batch")
-        out = cache.replicate(scenario, [1, 2, 3, 4], backend="batch")
+        cache.replicate(scenario, [1, 2])
+        out = cache.replicate(scenario, [1, 2, 3, 4])
         assert cache.session_hits == 2
         assert cache.session_misses == 4
-        assert out == _kpis(scenario, [1, 2, 3, 4], backend="scalar")
+        assert out == _reference(scenario, [1, 2, 3, 4])
 
 
 class TestWorkersClamp:

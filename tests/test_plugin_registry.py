@@ -262,7 +262,7 @@ class TestScenariosCommand:
         assert main(["scenarios", "show", "free-riders"]) == 0
         out = capsys.readouterr().out
         assert "adversarial-participants" in out
-        assert "scalar engine" in out
+        assert "plenaries (" in out
 
     def test_show_unknown_is_exit_2(self, capsys):
         assert main(["scenarios", "show", "nope"]) == 2

@@ -9,10 +9,10 @@ Three families, three distinct headline shapes:
 * adversarial-participants — knowledge transfer drops while (for
   withholders) engagement stays intact.
 
-Plus the cross-cutting guarantees: plugin scenarios fall back to the
-scalar engine under a counted reason, and every pre-existing scenario
-name still produces bit-identical KPIs against the recorded pre-PR
-fixture.
+Plus the cross-cutting guarantee: every pre-existing scenario name
+still produces bit-identical KPIs against the recorded pre-PR fixture.
+(``tests/test_oracles.py`` checks each family against the reference
+kernels.)
 """
 
 import json
@@ -20,11 +20,8 @@ import os
 
 import pytest
 
-from repro.obs import REGISTRY
 from repro.plugins import adversarial, hybrid, virtual
 from repro.registry import CATALOG
-from repro.simulation.batch import batchable
-from repro.simulation.experiment import replicate, extract_metrics
 from repro.simulation.runner import LongitudinalRunner
 from repro.simulation.scenario import (
     hackathon_everywhere_timeline,
@@ -41,12 +38,6 @@ FIXTURE = os.path.join(
 
 def _totals(scenario):
     return LongitudinalRunner(scenario).run().totals
-
-
-def _fallback_count(reason: str) -> float:
-    return REGISTRY.snapshot().get(
-        f'batch_fallback_total{{reason="{reason}"}}', 0.0
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -144,45 +135,6 @@ class TestAdversarialFamily:
                 == clean["mean_meeting_engagement"])
         assert (holding["knowledge_transferred"]
                 < clean["knowledge_transferred"])
-
-
-# ---------------------------------------------------------------------------
-# engine routing: scalar fallback, counted
-
-
-class TestBatchFallback:
-    @pytest.mark.parametrize("name", [
-        "virtual-constrained", "hybrid-balanced", "free-riders",
-        "knowledge-withholding",
-    ])
-    def test_plugin_scenarios_report_unbatchable(self, name):
-        scenario = CATALOG.resolve(name, seed=0)
-        assert scenario.uses_plugin_modifiers()
-        assert batchable([scenario.with_seed(s) for s in (0, 1)]) == (
-            "plugin"
-        )
-
-    @pytest.mark.parametrize("name", [
-        "virtual-constrained", "hybrid-balanced", "free-riders",
-    ])
-    def test_batch_request_matches_scalar_with_counted_fallback(self,
-                                                                name):
-        scenario = CATALOG.resolve(name, seed=0)
-        before = _fallback_count("plugin")
-        batched = [
-            extract_metrics(h)
-            for h in replicate(scenario, [0, 1], backend="batch")
-        ]
-        assert _fallback_count("plugin") > before
-        scalar = [
-            extract_metrics(h)
-            for h in replicate(scenario, [0, 1], backend="scalar")
-        ]
-        assert batched == scalar  # scalar fallback is bit-identical
-
-    def test_classic_scenarios_still_batch(self):
-        scenarios = [megamart_timeline(seed=s) for s in (0, 1)]
-        assert batchable(scenarios) is None
 
 
 # ---------------------------------------------------------------------------

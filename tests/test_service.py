@@ -582,7 +582,7 @@ class TestConcurrentDispatch:
             assert len(pickle.dumps(returned)) < 4096
         in_process = [
             extract_metrics(history) for history in replicate(
-                resolve_scenario("hackathon"), [0, 1], backend="scalar")
+                resolve_scenario("hackathon"), [0, 1])
         ]
         assert final.result["metrics"] == in_process
         assert [future.result() for _, future in shipped] == in_process

@@ -3,9 +3,9 @@ v1 error envelope and the chaos harness's failure paths."""
 
 import asyncio
 import json
+import socket
 import time
 import urllib.request
-import warnings
 
 import pytest
 
@@ -409,14 +409,34 @@ class TestV1Api:
             server.shutdown()
             server.server_close()
 
-    def test_wait_emits_deprecation_warning(self, async_service):
-        jid = async_service.submit(
-            "replicate", {"seeds": [79]})["job"]["id"]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            async_service.wait(jid, timeout=30)
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
+    @pytest.mark.parametrize("framing", [
+        b"Transfer-Encoding: chunked\r\n",
+        b"Transfer-Encoding: chunked\r\nContent-Length: 5\r\n",
+    ], ids=["chunked", "chunked-and-length"])
+    def test_chunked_body_gets_one_400_then_close(self, async_service,
+                                                  framing):
+        """A Transfer-Encoding body is refused once; its chunk bytes are
+        never parsed as a second request on the same connection."""
+        port = int(async_service.base_url.rsplit(":", 1)[1])
+        body = json.dumps({"kind": "replicate",
+                           "params": {"seeds": [80]}}).encode()
+        chunked = b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body)
+        with socket.create_connection(("127.0.0.1", port),
+                                      timeout=10) as sock:
+            sock.sendall(b"POST /v1/jobs HTTP/1.1\r\nHost: x\r\n"
+                         b"Content-Type: application/json\r\n"
+                         + framing + b"\r\n" + chunked)
+            received = b""
+            while True:
+                data = sock.recv(65536)
+                if not data:  # the server closed the connection
+                    break
+                received += data
+        assert received.count(b"HTTP/1.1 ") == 1, received
+        head, _, payload = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert json.loads(payload)["error"]["code"] == "bad_request"
+        assert async_service.jobs()["jobs"] == []
 
 
 # -- scale: hundreds of concurrent keep-alive clients ---------------------

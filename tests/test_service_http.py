@@ -54,7 +54,7 @@ class TestLifecycle:
     def test_submit_poll_result(self, service):
         response = service.submit("replicate", {"seeds": [3, 4]})
         assert response["created"] is True
-        job = service.wait(response["job"]["id"], timeout=15)
+        job = service._await(response["job"]["id"], timeout=15)
         assert job["state"] == "done"
         assert job["progress"]["cells_done"] == 2
         result = service.result(job["id"])
@@ -67,7 +67,7 @@ class TestLifecycle:
         with pytest.raises(ServiceError) as excinfo:
             slow_service.result(job["id"])
         assert excinfo.value.status == 409
-        slow_service.wait(job["id"], timeout=30)
+        slow_service._await(job["id"], timeout=30)
 
     def test_unknown_job_is_404(self, service):
         for call in (service.job, service.result, service.cancel):
@@ -101,7 +101,7 @@ class TestLifecycle:
 
     def test_cache_stats_endpoint(self, service):
         job = service.submit("replicate", {"seeds": [7]})["job"]
-        service.wait(job["id"], timeout=15)
+        service._await(job["id"], timeout=15)
         stats = service.cache_stats()
         assert stats["runs"] >= 1
         assert stats["session_misses"] >= 1
@@ -118,9 +118,9 @@ class TestServingSemantics:
         assert dupe["created"] is False
         assert dupe["job"]["id"] == first["job"]["id"]
         assert dupe["job"]["coalesced"] == 1
-        final = slow_service.wait(first["job"]["id"], timeout=30)
+        final = slow_service._await(first["job"]["id"], timeout=30)
         assert final["state"] == "done"
-        slow_service.wait(blocker["id"], timeout=30)
+        slow_service._await(blocker["id"], timeout=30)
 
     def test_full_queue_yields_429(self, slow_service):
         blocker = slow_service.submit(
@@ -132,7 +132,7 @@ class TestServingSemantics:
         with pytest.raises(ServiceError) as excinfo:
             slow_service.submit("replicate", {"seeds": [62]})
         assert excinfo.value.status == 429
-        slow_service.wait(blocker["id"], timeout=30)
+        slow_service._await(blocker["id"], timeout=30)
 
     def test_cancel_over_http(self, slow_service):
         blocker = slow_service.submit(
@@ -141,9 +141,9 @@ class TestServingSemantics:
         victim = slow_service.submit("replicate", {"seeds": [70]})["job"]
         cancelled = slow_service.cancel(victim["id"])
         assert cancelled["state"] == "cancelled"
-        final = slow_service.wait(victim["id"], timeout=10)
+        final = slow_service._await(victim["id"], timeout=10)
         assert final["state"] == "cancelled"
-        slow_service.wait(blocker["id"], timeout=30)
+        slow_service._await(blocker["id"], timeout=30)
 
     def test_wait_raises_on_failed_job(self, tmp_path):
         from test_service import always_crash_factory
@@ -159,7 +159,7 @@ class TestServingSemantics:
             )
             job = client.submit("replicate", {"seeds": [0, 1]})["job"]
             with pytest.raises(ReproError, match="failed"):
-                client.wait(job["id"], timeout=30)
+                client._await(job["id"], timeout=30)
         finally:
             server.shutdown()
             server.server_close()
@@ -209,7 +209,7 @@ class TestBitIdentical:
             },
             "seeds": [11],
         })["job"]
-        service.wait(job["id"], timeout=15)
+        service._await(job["id"], timeout=15)
         result = service.result(job["id"])
         assert result["scenario"] == "inline-http"
         assert result["metrics"] == [{"kpi": 11.0}]
