@@ -86,9 +86,8 @@ class MeetingSession:
     """One plenary in progress, steppable agenda item by agenda item.
 
     :meth:`PlenaryMeeting.run` and the longitudinal runner drive a
-    session start to finish: for each agenda item, :meth:`prepare_item`
-    samples engagement and interactions and :meth:`apply_item` runs the
-    knowledge exchange they produce.
+    session start to finish: :meth:`run_item` once per agenda item, then
+    :meth:`finish`.
     """
 
     def __init__(
@@ -161,8 +160,9 @@ class MeetingSession:
                 self._member_intensity.get(mid, 1.0) * factor
             )
 
-    def prepare_item(self, item: AgendaItem) -> List[Interaction]:
-        """Sample engagement and interactions for one item (pre-exchange)."""
+    def run_item(self, item: AgendaItem) -> None:
+        """Sample engagement and interactions for one item, then run the
+        knowledge exchange they produce."""
         meeting = self.meeting
         effects = self.effects
         records = meeting.engagement.sample_many(self.attendees, item)
@@ -221,11 +221,7 @@ class MeetingSession:
                 )
                 for i in interactions
             ]
-        return interactions
-
-    def apply_item(self, interactions: List[Interaction]) -> None:
-        """Run the knowledge exchange a prepared item produced."""
-        self.meeting._apply_interactions(interactions, self.result)
+        meeting._apply_interactions(interactions, self.result)
         self.result.interactions.extend(interactions)
 
     def finish(self) -> MeetingResult:
@@ -305,7 +301,7 @@ class PlenaryMeeting:
         """
         session = self.begin(agenda, meeting_name, hackathon_handler, mode)
         for item in agenda:
-            session.apply_item(session.prepare_item(item))
+            session.run_item(item)
         return session.finish()
 
     def begin(

@@ -322,7 +322,7 @@ class LongitudinalRunner:
         )
         with span("sim.plenary.exchange", plenary=spec.name):
             for item in session.agenda:
-                session.apply_item(session.prepare_item(item))
+                session.run_item(item)
         result = session.finish()
         outcome = None
         if hackathon is not None and hackathon.teams is not None:
@@ -473,15 +473,14 @@ class LongitudinalRunner:
         self, month: float, event: Optional[str] = None
     ) -> None:
         """Append one trajectory sample."""
+        mean_energy = BurnoutModel.mean_energy(self.consortium.members)
         with span("sim.trajectory", month=month):
             self._history.trajectory.record(
                 TrajectoryPoint(
                     month=month,
                     inter_org_ties=len(self.network.inter_org_ties()),
                     total_tie_strength=self.network.total_strength(),
-                    mean_energy=BurnoutModel.mean_energy(
-                        self.consortium.members
-                    ),
+                    mean_energy=mean_energy,
                     event=event,
                 )
             )
