@@ -286,8 +286,9 @@ class RunCache:
         ``should_cancel`` is polled between cells; when it turns true
         the call raises :class:`~repro.errors.RunCancelled` — every
         cell already stored stays stored, so a later retry resumes.
-        ``pool`` computes the missing cells on a caller-owned :class:`WorkerPool` (the scheduler's);
-        without one, ``workers > 1`` opens a pool for this call only.
+        ``pool`` computes the missing cells on a caller-owned
+        :class:`WorkerPool` (the scheduler's); without one,
+        ``workers > 1`` opens a pool for this call only.
         """
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")

@@ -88,9 +88,6 @@ def work_session_run(
 
 
 class ReferenceWorkSession(WorkSession):
-    def run(self, team: Team, hours: float) -> SessionResult:
-        return work_session_run(self, team, hours)
-
     def run_many(self, teams: List[Team], hours: float) -> List[SessionResult]:
         return [work_session_run(self, team, hours) for team in teams]
 
