@@ -83,20 +83,30 @@ class _Handler(BaseHTTPRequestHandler):
     # -- plumbing ---------------------------------------------------------
 
     def _read_body(self) -> Optional[bytes]:
-        """The request body, or None after answering 400 for a bad one."""
+        """The request body, or None after answering 400 and closing.
+
+        Bodies are framed by Content-Length only.  A chunked body read
+        as empty would leave its chunks in the stream to be parsed as
+        the next request, so any request carrying Transfer-Encoding is
+        refused, as the asyncio transport does.
+        """
+        if "Transfer-Encoding" in self.headers:
+            return self._refuse("Transfer-Encoding is not supported")
         try:
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
             length = -1
         if length < 0 or length > MAX_BODY_BYTES:
-            self._write_response(Response(
-                400,
-                json.dumps(error_payload(
-                    "bad_request", "invalid or oversized Content-Length"
-                )).encode("utf-8"),
-            ))
-            return None
+            return self._refuse("invalid or oversized Content-Length")
         return self.rfile.read(length) if length else b""
+
+    def _refuse(self, message: str) -> None:
+        """Answer one 400 envelope and close: the body was not read."""
+        self._write_response(Response(
+            400,
+            json.dumps(error_payload("bad_request", message)).encode("utf-8"),
+            headers=(("Connection", "close"),),
+        ))
 
     def _write_response(self, response: Response) -> None:
         self.send_response(response.status)
@@ -127,12 +137,9 @@ class _Handler(BaseHTTPRequestHandler):
             pass  # client went away; the pump's finally decs the gauge
 
     def _handle(self, method: str) -> None:
-        body = b""
-        if method == "POST":
-            maybe = self._read_body()
-            if maybe is None:
-                return
-            body = maybe
+        body = self._read_body()
+        if body is None:
+            return
         outcome = self.api.dispatch(method, self.path, self.headers, body)
         if isinstance(outcome, StreamHandle):
             self._write_stream(outcome)

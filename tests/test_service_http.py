@@ -1,6 +1,7 @@
 """End-to-end tests for the HTTP serving layer (server + client)."""
 
 import json
+import socket
 import time
 import urllib.request
 
@@ -98,6 +99,37 @@ class TestLifecycle:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
         assert excinfo.value.code == 400
+
+    @pytest.mark.parametrize("framing", [
+        b"Transfer-Encoding: chunked\r\n",
+        b"Transfer-Encoding: chunked\r\nContent-Length: 5\r\n",
+    ], ids=["chunked", "chunked-and-length"])
+    def test_chunked_body_gets_one_400_then_close(self, service, framing):
+        """A Transfer-Encoding body is refused once; its chunk bytes are
+        never parsed as a second request on the same connection."""
+        port = int(service.base_url.rsplit(":", 1)[1])
+        body = json.dumps({"kind": "replicate",
+                           "params": {"seeds": [80]}}).encode()
+        chunked = b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body)
+        with socket.create_connection(("127.0.0.1", port),
+                                      timeout=10) as sock:
+            sock.sendall(b"POST /v1/jobs HTTP/1.1\r\nHost: x\r\n"
+                         b"Content-Type: application/json\r\n"
+                         + framing + b"\r\n" + chunked)
+            received = b""
+            while True:
+                try:
+                    data = sock.recv(65536)
+                except ConnectionResetError:  # closed with bytes unread
+                    break
+                if not data:  # the server closed the connection
+                    break
+                received += data
+        assert received.count(b"HTTP/1.") == 1, received
+        head, _, payload = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert json.loads(payload)["error"]["code"] == "bad_request"
+        assert service.jobs()["jobs"] == []
 
     def test_cache_stats_endpoint(self, service):
         job = service.submit("replicate", {"seeds": [7]})["job"]
