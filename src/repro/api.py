@@ -43,9 +43,8 @@ from repro.service.specs import (
 from repro.simulation.experiment import (
     ComparisonResult,
     compare_scenarios,
-    extract_metrics,
+    replicate_metrics,
 )
-from repro.simulation.experiment import replicate as _replicate_histories
 from repro.simulation.sweep import SweepResult, run_sweep
 from repro.store.runcache import DEFAULT_CACHE_DIR, RunCache
 
@@ -102,8 +101,7 @@ def replicate(
             return RunCache(cache_dir).replicate(
                 resolved, seed_list, workers=workers
             )
-        histories = _replicate_histories(resolved, seed_list, workers=workers)
-        return [extract_metrics(h) for h in histories]
+        return replicate_metrics(resolved, seed_list, workers=workers)
 
 
 def compare(

@@ -7,8 +7,9 @@ partners ever meet in the project").  A successful hackathon dissolves
 that alignment: communities should start cutting across organisations.
 
 :func:`detect_communities` uses greedy modularity maximisation
-(networkx); :func:`silo_index` quantifies how strongly communities align
-with organisations (1.0 = perfect silos, 0.0 = fully mixed).
+(networkx, imported on first call); :func:`silo_index` quantifies how
+strongly communities align with organisations (1.0 = perfect silos,
+0.0 = fully mixed).
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from typing import List, Set
-
-import networkx as nx
 
 from repro.errors import ConfigurationError
 from repro.network.graph import CollaborationNetwork
@@ -53,6 +52,8 @@ def detect_communities(network: CollaborationNetwork) -> CommunityStructure:
     Members with no ties form no communities of interest and are
     excluded.  An empty tie graph yields zero communities.
     """
+    import networkx as nx
+
     graph = nx.Graph()
     for a, b, weight in network.ties():
         graph.add_edge(a, b, weight=weight)

@@ -9,12 +9,13 @@ tool providers" — i.e. new and stronger inter-organisation ties.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.network.incremental import IncrementalMetrics
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["CollaborationNetwork"]
 
@@ -24,8 +25,17 @@ class CollaborationNetwork:
 
     Edge weights are non-negative "tie strengths"; a tie with strength
     below :attr:`tie_threshold` is considered latent (not yet a real
-    collaboration).  Node attributes carry the member's organisation so
+    collaboration).  Each node carries its member's organisation so
     inter-organisation metrics don't need the consortium object.
+
+    Storage is two insertion-ordered dicts in the layout ``nx.Graph``
+    uses: ``_org`` maps member -> organisation, and ``_adj`` maps
+    member -> neighbour -> edge data, with one ``{"weight": w}`` dict
+    shared by both directions of an edge.  Iteration orders (which fix
+    the float summation order of :meth:`total_strength`) are therefore
+    the ones a networkx graph built by the same calls would have, and
+    the engine never imports networkx; :meth:`as_networkx` builds a
+    real graph on demand.
     """
 
     def __init__(self, tie_threshold: float = 0.1) -> None:
@@ -33,7 +43,8 @@ class CollaborationNetwork:
             raise ConfigurationError(
                 f"tie_threshold must be positive, got {tie_threshold}"
             )
-        self._graph = nx.Graph()
+        self._org: Dict[str, str] = {}
+        self._adj: Dict[str, Dict[str, Dict[str, float]]] = {}
         self.tie_threshold = tie_threshold
         # Generation counter for the derived-view caches below: every
         # weight mutation bumps it, so ties()/inter_org_ties() rescan
@@ -55,15 +66,16 @@ class CollaborationNetwork:
 
     def add_member(self, member_id: str, org_id: str) -> None:
         """Register a node; re-adding with the same org is a no-op."""
-        if member_id in self._graph:
-            existing = self._graph.nodes[member_id]["org"]
+        if member_id in self._org:
+            existing = self._org[member_id]
             if existing != org_id:
                 raise ConfigurationError(
                     f"member {member_id!r} already registered with org "
                     f"{existing!r}, cannot re-register with {org_id!r}"
                 )
             return
-        self._graph.add_node(member_id, org=org_id)
+        self._org[member_id] = org_id
+        self._adj[member_id] = {}
         if self._tracker is not None:
             self._tracker.add_node(member_id)
 
@@ -80,13 +92,10 @@ class CollaborationNetwork:
             raise ConfigurationError(f"cannot create a self-tie on {a!r}")
         if amount < 0:
             raise ConfigurationError(f"amount must be non-negative, got {amount}")
+        adj = self._adj
         for node in (a, b):
-            if node not in self._graph:
+            if node not in adj:
                 raise ConfigurationError(f"unknown member {node!r}")
-        # Direct adjacency update — same structure nx.Graph.add_edge
-        # builds (one attr dict shared by both directions), minus its
-        # node bookkeeping, which add_member already guaranteed.
-        adj = self._graph._adj
         data = adj[a].get(b)
         old = data["weight"] if data is not None else 0.0
         new = old + amount
@@ -112,7 +121,8 @@ class CollaborationNetwork:
         threshold = self.tie_threshold
         # Raw adjacency iteration: an undirected edge appears once per
         # endpoint, so the a < b guard visits (and decays) it exactly once.
-        for a, nbrs in self._graph._adj.items():
+        adj = self._adj
+        for a, nbrs in adj.items():
             for b, data in nbrs.items():
                 if a < b:
                     old = data["weight"]
@@ -127,7 +137,9 @@ class CollaborationNetwork:
                         and (new < threshold or dropped)
                     ):
                         tracker.tie_removed(a, b)
-        self._graph.remove_edges_from(to_drop)
+        for a, b in to_drop:
+            del adj[a][b]
+            del adj[b][a]
         self._generation += 1
         return len(to_drop)
 
@@ -141,11 +153,11 @@ class CollaborationNetwork:
         maintained state instead of rebuilding the graph.
         """
         if self._tracker is None:
-            self._tracker = IncrementalMetrics(self._graph.nodes, self.ties())
+            self._tracker = IncrementalMetrics(self._org, self.ties())
         return self._tracker
 
     def strength(self, a: str, b: str) -> float:
-        nbrs = self._graph._adj.get(a)
+        nbrs = self._adj.get(a)
         if nbrs is None:
             return 0.0
         data = nbrs.get(b)
@@ -157,13 +169,13 @@ class CollaborationNetwork:
 
     def org_of(self, member_id: str) -> str:
         try:
-            return self._graph._node[member_id]["org"]
+            return self._org[member_id]
         except KeyError:
             raise ConfigurationError(f"unknown member {member_id!r}") from None
 
     @property
     def member_ids(self) -> List[str]:
-        return sorted(self._graph.nodes)
+        return sorted(self._org)
 
     def ties(self) -> List[Tuple[str, str, float]]:
         """Edges at/above threshold as sorted (a, b, strength) rows.
@@ -175,7 +187,7 @@ class CollaborationNetwork:
             threshold = self.tie_threshold
             rows = [
                 (a, b, data["weight"])
-                for a, nbrs in self._graph._adj.items()
+                for a, nbrs in self._adj.items()
                 for b, data in nbrs.items()
                 if a < b and data["weight"] >= threshold
             ]
@@ -193,12 +205,12 @@ class CollaborationNetwork:
         Cached like :meth:`ties`; treat the returned list as read-only.
         """
         if self._inter_org_generation != self._generation:
-            nodes = self._graph._node
+            org = self._org
             rows = []
             pairs = set()
             for a, b, w in self.ties():
-                oa = nodes[a]["org"]
-                ob = nodes[b]["org"]
+                oa = org[a]
+                ob = org[b]
                 if oa != ob:
                     rows.append((a, b, w))
                     pairs.add((oa, ob) if oa < ob else (ob, oa))
@@ -236,25 +248,43 @@ class CollaborationNetwork:
     def total_strength(self) -> float:
         return sum(
             data["weight"]
-            for a, nbrs in self._graph._adj.items()
+            for a, nbrs in self._adj.items()
             for b, data in nbrs.items()
             if a < b
         )
 
     def copy(self) -> "CollaborationNetwork":
+        """An independent network with the same members, ties and orders."""
         clone = CollaborationNetwork(tie_threshold=self.tie_threshold)
-        clone._graph = self._graph.copy()
+        clone._org = dict(self._org)
+        adj = clone._adj = {a: {} for a in self._adj}
+        for a, nbrs in self._adj.items():
+            for b, data in nbrs.items():
+                copied = adj[b].get(a)
+                adj[a][b] = copied if copied is not None else dict(data)
         return clone
 
-    def as_networkx(self) -> nx.Graph:
-        """A copy of the underlying graph for external analysis."""
-        return self._graph.copy()
+    def as_networkx(self) -> "nx.Graph":
+        """The network as an ``nx.Graph`` (``org`` node and ``weight``
+        edge attributes) for external analysis."""
+        import networkx as nx
+
+        g = nx.Graph()
+        g.add_nodes_from((m, {"org": org}) for m, org in self._org.items())
+        # Both directions, as nx.Graph.copy() adds them: the adjacency
+        # orders come out the same as a graph grown by networkx itself.
+        g.add_edges_from(
+            (a, b, data)
+            for a, nbrs in self._adj.items()
+            for b, data in nbrs.items()
+        )
+        return g
 
     def snapshot(self) -> Dict[Tuple[str, str], float]:
         """All edge strengths keyed by sorted pair (including sub-threshold)."""
         return {
             (a, b): data["weight"]
-            for a, nbrs in self._graph._adj.items()
+            for a, nbrs in self._adj.items()
             for b, data in nbrs.items()
             if a < b
         }

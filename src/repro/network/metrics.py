@@ -16,11 +16,12 @@ bit-equal under randomized tie add/decay histories.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Set
 
 from repro.network.graph import CollaborationNetwork
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["NetworkMetrics", "compute_metrics"]
 
@@ -53,8 +54,10 @@ class NetworkMetrics:
         }
 
 
-def _tie_graph(network: CollaborationNetwork) -> nx.Graph:
+def _tie_graph(network: CollaborationNetwork) -> "nx.Graph":
     """Graph restricted to edges at/above the tie threshold."""
+    import networkx as nx
+
     g = nx.Graph()
     g.add_nodes_from(network.member_ids)
     for a, b, w in network.ties():
@@ -120,9 +123,12 @@ def bridge_members(network: CollaborationNetwork) -> List[str]:
 
     These are the paper's informal "key people" through whom entire
     organisations stay connected; a healthy post-hackathon network has
-    fewer single points of failure.  Stays networkx-backed: articulation
-    points are queried far too rarely to justify incremental upkeep.
+    fewer single points of failure.  Stays networkx-backed (imported
+    here, off the engine path): articulation points are queried far too
+    rarely to justify incremental upkeep.
     """
+    import networkx as nx
+
     g = _tie_graph(network)
     # Only consider nodes that have ties at all.
     g.remove_nodes_from([node for node in list(g) if g.degree(node) == 0])

@@ -5,6 +5,11 @@ significance test per KPI".  :func:`replicate` runs a scenario under a
 seed list; :func:`compare_scenarios` pairs two scenarios seed-by-seed
 and attaches Mann–Whitney / Cliff's-delta comparisons per metric.
 
+Everything that returns KPIs (:func:`replicate_metrics`,
+:func:`compare_scenarios`, :func:`~repro.simulation.sweep.run_sweep`)
+runs :func:`_run_metrics` per cell, so a serial run holds one history
+at a time and a pooled run ships back KPI dictionaries, not histories.
+
 The two scenarios of a comparison are spelled ``a`` and ``b``
 everywhere in the public API — the facade (:mod:`repro.api`), the HTTP
 job parameters and this module all agree.
@@ -16,7 +21,7 @@ import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 from repro.errors import ConfigurationError
 from repro.obs import REGISTRY, span
@@ -30,6 +35,7 @@ __all__ = [
     "effective_workers",
     "extract_metrics",
     "replicate",
+    "replicate_metrics",
     "MetricComparison",
     "ComparisonResult",
     "comparison_from_metrics",
@@ -46,6 +52,10 @@ _BATCH_SECONDS = REGISTRY.histogram(
 )
 
 
+T = TypeVar("T")
+RunnerFactory = Callable[[Scenario], LongitudinalRunner]
+
+
 def extract_metrics(history: ProjectHistory) -> Dict[str, float]:
     """Flatten a run history into the KPI dictionary the benches use."""
     return dict(history.totals)
@@ -53,7 +63,7 @@ def extract_metrics(history: ProjectHistory) -> Dict[str, float]:
 
 def _run_history(
     scenario: Scenario,
-    runner_factory: Optional[Callable[[Scenario], LongitudinalRunner]],
+    runner_factory: Optional[RunnerFactory],
 ) -> ProjectHistory:
     """Execute one seeded scenario — the unit of work a pool ships out.
 
@@ -71,7 +81,7 @@ def _run_history(
 
 def _run_metrics(
     scenario: Scenario,
-    runner_factory: Optional[Callable[[Scenario], LongitudinalRunner]],
+    runner_factory: Optional[RunnerFactory],
 ) -> Dict[str, float]:
     """One seeded scenario's KPI dictionary — what a store pool ships back.
 
@@ -110,14 +120,16 @@ def effective_workers(workers: int) -> int:
 
 def _run_many(
     scenarios: Sequence[Scenario],
-    runner_factory: Optional[Callable[[Scenario], LongitudinalRunner]],
+    runner_factory: Optional[RunnerFactory],
     workers: int,
-) -> List[ProjectHistory]:
-    """Run already-seeded scenarios, on a process pool or serially.
+    cell: Callable[[Scenario, Optional[RunnerFactory]], T] = _run_metrics,
+) -> List[T]:
+    """Run already-seeded scenarios through ``cell``, pooled or serially.
 
-    Results come back in input order regardless of completion order, and
-    each history is bit-identical to what a serial run would produce —
-    every run derives all randomness from its own seed.
+    ``cell`` is :func:`_run_metrics` (the default) or
+    :func:`_run_history`.  Results come back in input order regardless
+    of completion order, and each is bit-identical to what a serial run
+    would produce — every run derives all randomness from its own seed.
     """
     _RUNS_TOTAL.inc(len(scenarios))
     workers = effective_workers(workers)
@@ -130,28 +142,20 @@ def _run_many(
                     max_workers=min(workers, len(scenarios))
                 ) as pool:
                     futures = [
-                        pool.submit(_run_history, scenario, runner_factory)
+                        pool.submit(cell, scenario, runner_factory)
                         for scenario in scenarios
                     ]
                     return [f.result() for f in futures]
-            return [
-                _run_history(scenario, runner_factory)
-                for scenario in scenarios
-            ]
+            return [cell(scenario, runner_factory) for scenario in scenarios]
 
 
-def replicate(
+def _replicate(
     scenario: Scenario,
     seeds: Sequence[int],
-    runner_factory: Optional[Callable[[Scenario], LongitudinalRunner]] = None,
-    workers: int = 1,
-) -> List[ProjectHistory]:
-    """Run ``scenario`` once per seed and return all histories.
-
-    ``workers`` > 1 distributes the seeds over that many processes
-    (capped at the core count).  The returned histories are in seed
-    order and identical whichever path runs them.
-    """
+    runner_factory: Optional[RunnerFactory],
+    workers: int,
+    cell: Callable[[Scenario, Optional[RunnerFactory]], T],
+) -> List[T]:
     if not seeds:
         raise ConfigurationError("need at least one seed")
     if workers < 1:
@@ -159,7 +163,38 @@ def replicate(
     seeded = [scenario.with_seed(int(seed)) for seed in seeds]
     with span("experiment.replicate", scenario=scenario.name,
               seeds=len(seeded)):
-        return _run_many(seeded, runner_factory, workers)
+        return _run_many(seeded, runner_factory, workers, cell)
+
+
+def replicate(
+    scenario: Scenario,
+    seeds: Sequence[int],
+    runner_factory: Optional[RunnerFactory] = None,
+    workers: int = 1,
+) -> List[ProjectHistory]:
+    """Run ``scenario`` once per seed and return all histories.
+
+    ``workers`` > 1 distributes the seeds over that many processes
+    (capped at the core count).  The returned histories are in seed
+    order and identical whichever path runs them.  Callers that only
+    need KPIs should use :func:`replicate_metrics`, which never holds
+    more than one history.
+    """
+    return _replicate(scenario, seeds, runner_factory, workers, _run_history)
+
+
+def replicate_metrics(
+    scenario: Scenario,
+    seeds: Sequence[int],
+    runner_factory: Optional[RunnerFactory] = None,
+    workers: int = 1,
+) -> List[Dict[str, float]]:
+    """KPI dictionaries of ``scenario`` under each seed, in seed order.
+
+    Equal to ``[extract_metrics(h) for h in replicate(...)]``, but each
+    history is dropped as soon as its KPIs are read.
+    """
+    return _replicate(scenario, seeds, runner_factory, workers, _run_metrics)
 
 
 @dataclass(frozen=True)
@@ -243,7 +278,7 @@ def compare_scenarios(
     a: Scenario,
     b: Scenario,
     seeds: Sequence[int] = (),
-    runner_factory: Optional[Callable[[Scenario], LongitudinalRunner]] = None,
+    runner_factory: Optional[RunnerFactory] = None,
     workers: int = 1,
 ) -> ComparisonResult:
     """Run both scenarios over the same seeds and compare their KPIs.
@@ -261,9 +296,7 @@ def compare_scenarios(
         b.with_seed(int(s)) for s in seeds
     ]
     with span("experiment.compare", a=a.name, b=b.name, seeds=len(seeds)):
-        histories = _run_many(seeded, runner_factory, workers)
-        with span("experiment.extract_metrics", runs=len(histories)):
-            metrics = [extract_metrics(h) for h in histories]
+        metrics = _run_many(seeded, runner_factory, workers)
     return comparison_from_metrics(
         a.name,
         b.name,

@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.obs import span
-from repro.simulation.experiment import _run_many, extract_metrics
+from repro.simulation.experiment import _run_many
 from repro.simulation.runner import LongitudinalRunner
 from repro.simulation.scenario import Scenario
 from repro.stats.summary import SampleSummary, describe
@@ -154,14 +154,10 @@ def run_sweep(
     ]
     with span("experiment.sweep", parameter=parameter,
               points=len(values), seeds=len(seeds)):
-        histories = _run_many(scenarios, runner_factory, workers)
-        with span("experiment.extract_metrics", runs=len(histories)):
-            per_point = len(seeds)
-            chunks = [
-                [
-                    extract_metrics(h)
-                    for h in histories[i * per_point : (i + 1) * per_point]
-                ]
-                for i in range(len(values))
-            ]
+        metrics = _run_many(scenarios, runner_factory, workers)
+    per_point = len(seeds)
+    chunks = [
+        metrics[i * per_point : (i + 1) * per_point]
+        for i in range(len(values))
+    ]
     return sweep_from_metrics(parameter, values, chunks, label_fn=label_fn)

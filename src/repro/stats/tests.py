@@ -1,7 +1,8 @@
 """Non-parametric comparison tests used by the benchmark harness.
 
 Simulated KPI distributions are small and non-normal, so comparisons use
-the Mann–Whitney U test (via SciPy) plus Cliff's delta as an ordinal
+the Mann–Whitney U test (via SciPy, imported on first use so that
+runs which never compare do not load it) plus Cliff's delta as an ordinal
 effect size — the natural choice for "who wins and by how much" claims.
 """
 
@@ -11,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from repro.errors import ConfigurationError
 
@@ -78,6 +78,8 @@ def mann_whitney(
             n_a=int(xa.size),
             n_b=int(xb.size),
         )
+    from scipy import stats as sp_stats
+
     result = sp_stats.mannwhitneyu(xa, xb, alternative=alternative)
     return ComparisonTest(
         statistic=float(result.statistic),

@@ -1,5 +1,7 @@
 """Tests for the collaboration network, metrics and dynamics."""
 
+import pickle
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -104,6 +106,46 @@ class TestGraph:
         clone = net.copy()
         clone.strengthen("a1", "b1", 0.5)
         assert net.strength("a1", "b1") == pytest.approx(0.5)
+
+    def test_pickle_copy_and_networkx_views_agree(self, net):
+        """Pickling keeps adjacency order (it fixes total_strength's
+        summation order); copy() keeps orgs, weights and order but
+        shares no state; as_networkx() carries the same graph."""
+        net.strengthen("b1", "c1", 0.3)
+        net.strengthen("a1", "c1", 0.7)
+        net.strengthen("a1", "b1", 0.2)
+        net.strengthen("a2", "b1", 0.05)
+        net.weaken_all(0.5, floor=0.03)  # drops a2-b1
+
+        def layout(n):
+            return (
+                list(n._org.items()),
+                [(a, list(nbrs.items())) for a, nbrs in n._adj.items()],
+            )
+
+        blob = pickle.dumps(net)
+        assert b"networkx" not in blob
+        restored = pickle.loads(blob)
+        clone = net.copy()
+        for other in (restored, clone):
+            assert layout(other) == layout(net)
+            assert other.total_strength() == net.total_strength()
+            assert other.ties() == net.ties()
+
+        clone.strengthen("a1", "b1", 0.5)
+        clone.add_member("d1", "D")
+        assert net.strength("a1", "b1") == pytest.approx(0.1)
+        assert clone.strength("b1", "a1") == pytest.approx(0.6)
+        assert "d1" not in net.member_ids
+
+        g = net.as_networkx()
+        assert list(g.nodes) == list(net._org)
+        assert {m: g.nodes[m]["org"] for m in g} == net._org
+        assert {
+            tuple(sorted((a, b))): d["weight"] for a, b, d in g.edges(data=True)
+        } == net.snapshot()
+        g["a1"]["c1"]["weight"] = 9.0
+        assert net.strength("a1", "c1") == pytest.approx(0.35)
 
     def test_org_of_unknown(self, net):
         with pytest.raises(ConfigurationError):
