@@ -32,7 +32,7 @@ from repro.simulation import (
     megamart_timeline,
 )
 
-__version__ = "1.0.0"
+__version__ = "1.0.1"
 
 # Imported after __version__ is bound: the store fingerprints scenarios
 # with the model version, so it reads it back off this module.

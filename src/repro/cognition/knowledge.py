@@ -259,9 +259,11 @@ class KnowledgeVector:
         """Mean proficiency over ``required`` domains (0.0 if empty).
 
         Used to score how well a member (or a pooled team vector)
-        covers a challenge's required domains.
+        covers a challenge's required domains.  The domains are summed
+        in sorted order: callers pass frozensets, whose iteration order
+        follows the process's string-hash seed.
         """
-        req = list(required)
+        req = sorted(required)
         if not req:
             return 0.0
         return sum(self[d] for d in req) / len(req)

@@ -109,9 +109,12 @@ class TieDynamics:
             return 0
         plain = self.monthly_decay**months
         gentle = self.followup_decay**months
-        # Record followed-up strengths before global decay.
+        # Record followed-up strengths before global decay, in sorted
+        # pair order, not set order: a protected pair that weaken_all
+        # drops is re-added below, at the end of the adjacency dicts, and
+        # that order fixes total_strength()'s summation order.
         protected = {}
-        for pair in followed_up_pairs:
+        for pair in sorted(followed_up_pairs):
             a, b = pair
             strength = network.strength(a, b)
             if strength > 0:

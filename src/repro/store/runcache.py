@@ -123,11 +123,11 @@ class WorkerPool:
             if self._closed:
                 raise WorkerCrashError("worker pool is shut down")
             if self._executor is None:
-                # The platform's default start method (fork on Linux):
-                # forked workers share this process's string-hash seed,
-                # which some KPIs depend on in the last bit, so pooled
-                # cells stay bit-equal to in-process ones; spawned
-                # workers would each draw their own.
+                # The platform's default start method (fork on Linux).
+                # KPIs no longer depend on the string-hash seed that
+                # forked workers share and spawned ones draw afresh
+                # (tests/test_integration_determinism.py), so bit-
+                # equality with in-process cells does not rest on it.
                 self._executor = ProcessPoolExecutor(
                     max_workers=self.max_workers
                 )
