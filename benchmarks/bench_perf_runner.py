@@ -196,7 +196,7 @@ SERVICE_JOBS = 40
 
 def _service_timings():
     """Sustained cached-job throughput and latency over real HTTP."""
-    from repro.service import ServiceClient, build_server, serve
+    from repro.service import ServiceClient, build_async_server, serve_async
 
     cache_root = tempfile.mkdtemp(prefix="repro-service-bench-")
     try:
@@ -205,8 +205,8 @@ def _service_timings():
         warm = cache.compare_scenarios(
             megamart_timeline(), baseline_timeline(), seeds=SEEDS
         )
-        server = build_server(port=0, cache=cache)
-        serve(server)
+        server = build_async_server(port=0, cache=cache)
+        serve_async(server)
         try:
             client = ServiceClient(
                 f"http://127.0.0.1:{server.server_port}"

@@ -11,7 +11,7 @@ Eleven subcommands, all seeded and deterministic:
 * ``repro-sim scenarios`` — list, show or validate scenario specs.
 * ``repro-sim cache`` — inspect, garbage-collect or clear the run store.
 * ``repro-sim serve`` — serve compare/sweep/replicate jobs over HTTP
-  (asyncio front end by default; ``--legacy`` for the threaded one).
+  from one asyncio event loop.
 * ``repro-sim job`` — watch a served job's live event stream or page
   through the server's job table.
 * ``repro-sim metrics`` — print metrics (local or scraped off a server).
@@ -175,15 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="max queued jobs before 429s (default 64)")
     serve.add_argument("--max-retries", type=int, default=2,
                        help="retries after a worker crash (default 2)")
-    transport = serve.add_mutually_exclusive_group()
-    transport.add_argument(
-        "--async", dest="use_async", action="store_true", default=True,
-        help="asyncio front end: thousands of keep-alive connections "
-             "and live SSE/JSONL streams on one event loop (default)")
-    transport.add_argument(
-        "--legacy", dest="use_async", action="store_false",
-        help="threaded front end: one OS thread per connection "
-             "(same v1 API, streams cost a thread each)")
     serve.add_argument("--trace", metavar="PATH", default=None,
                        help="write served jobs' span trees as JSONL on "
                             "shutdown")
@@ -509,34 +500,19 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     # Imported here so the offline subcommands never pay for the
     # service stack.
-    if args.use_async:
-        from repro.service.asyncserver import build_async_server
+    from repro.service.asyncserver import build_async_server, serve_async
 
-        server = build_async_server(
-            host=args.host,
-            port=args.port,
-            cache_dir=args.cache_dir,
-            workers=args.workers,
-            queue_depth=args.queue_depth,
-            max_retries=args.max_retries,
-        )
-        thread = server.start()
-        transport = "asyncio"
-    else:
-        from repro.service.server import build_server, serve
-
-        server = build_server(
-            host=args.host,
-            port=args.port,
-            cache_dir=args.cache_dir,
-            workers=args.workers,
-            queue_depth=args.queue_depth,
-            max_retries=args.max_retries,
-        )
-        thread = serve(server)
-        transport = "threaded"
+    server = build_async_server(
+        host=args.host,
+        port=args.port,
+        cache_dir=args.cache_dir,
+        workers=args.workers,
+        queue_depth=args.queue_depth,
+        max_retries=args.max_retries,
+    )
+    thread = serve_async(server)
     print(f"repro-sim service on http://{args.host}:{server.server_port} "
-          f"({transport}, workers={args.workers}, "
+          f"(asyncio, workers={args.workers}, "
           f"queue-depth={args.queue_depth}, cache={args.cache_dir})")
     print("endpoints: POST/GET /v1/jobs  GET /v1/jobs/{id}[/result]  "
           "GET /v1/jobs/{id}/events (SSE|JSONL)  DELETE /v1/jobs/{id}  "

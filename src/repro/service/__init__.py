@@ -11,10 +11,10 @@ drive over HTTP — the serving-stack counterpart to the run store:
   cells into the store so partial results survive crashes.
 * :mod:`repro.service.events` — per-job sequence-numbered event logs.
 * :mod:`repro.service.wire` — the v1 API surface (envelope, routing,
-  content negotiation) shared by both HTTP transports.
-* :mod:`repro.service.server` — threaded stdlib HTTP transport.
-* :mod:`repro.service.asyncserver` — asyncio transport: thousands of
-  keep-alive connections and live SSE/JSONL streams on one loop.
+  content negotiation), independent of the transport.
+* :mod:`repro.service.asyncserver` — the asyncio HTTP transport:
+  thousands of keep-alive connections and live SSE/JSONL streams on
+  one loop.
 * :mod:`repro.service.client` — thin urllib client with streaming
   ``watch_job`` and typed error exceptions.
 * :mod:`repro.service.chaos` — fault injection for the load harness.
@@ -54,7 +54,6 @@ from repro.service.jobs import (
     JobProgress,
 )
 from repro.service.scheduler import Scheduler
-from repro.service.server import ReproServiceServer, build_server, serve
 from repro.service.specs import (
     JobPlan,
     build_plan,
@@ -78,17 +77,14 @@ __all__ = [
     "Job",
     "JobPlan",
     "JobProgress",
-    "ReproServiceServer",
     "Scheduler",
     "ServiceAPI",
     "ServiceClient",
     "build_async_server",
     "build_plan",
-    "build_server",
     "comparison_from_payload",
     "execute_plan",
     "resolve_scenario",
-    "serve",
     "serve_async",
     "sweep_from_payload",
 ]

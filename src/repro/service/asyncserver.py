@@ -1,9 +1,7 @@
 """Asyncio HTTP front end: thousands of connections, zero idle threads.
 
-The legacy :mod:`repro.service.server` spends one OS thread per
-connection — fine for a dozen clients, hopeless for a thousand open
-SSE streams.  This module serves the *same*
-:class:`~repro.service.wire.ServiceAPI` from a single event loop:
+This module serves the :class:`~repro.service.wire.ServiceAPI` from a
+single event loop, so a thousand open SSE streams cost no thread each:
 
 * **Transport** — hand-rolled HTTP/1.1 over ``asyncio.start_server``:
   request line + headers via ``readuntil``, body via ``readexactly``,
@@ -19,13 +17,12 @@ SSE streams.  This module serves the *same*
   wake it via ``loop.call_soon_threadsafe``.  Cost per idle stream:
   one Event and one socket — no thread — which is what lets one
   process hold thousands of live watchers.
-* **Workers** — unchanged.  Jobs still execute on the scheduler's
-  process pool behind the same coalescing / backpressure / retry
-  semantics; the front end only changes how bytes get in and out.
+* **Workers** — jobs execute on the scheduler's process pool behind
+  its coalescing / backpressure / retry semantics; the front end only
+  moves bytes in and out.
 
-The public surface mirrors the legacy module so callers can swap
-transports: :func:`build_async_server` ↔ ``build_server``,
-:func:`serve_async` ↔ ``serve``, and the server object exposes
+:func:`build_async_server` wires cache, scheduler and server;
+:func:`serve_async` starts it, and the server object exposes
 ``server_port`` / ``shutdown()`` / ``server_close()``.
 """
 
@@ -99,7 +96,7 @@ class AsyncReproServiceServer:
 
     The loop runs on a dedicated thread (started by :meth:`start` /
     :func:`serve_async`) so the calling thread — tests, the CLI — can
-    keep driving the process, exactly like the threaded server.
+    keep driving the process.
     """
 
     def __init__(self, host: str, port: int, scheduler: Scheduler) -> None:
@@ -186,7 +183,7 @@ class AsyncReproServiceServer:
         self.scheduler.shutdown()
 
     def server_close(self) -> None:
-        """Legacy-interface parity; resources go down in shutdown()."""
+        """Join the loop thread; resources go down in shutdown()."""
         if self._thread is not None:
             self._thread.join(timeout=5.0)
 
@@ -380,11 +377,7 @@ def build_async_server(
     retry_backoff_s: float = 0.25,
     cache: Optional[RunCache] = None,
 ) -> AsyncReproServiceServer:
-    """Wire cache + scheduler + asyncio server; ``port=0`` = pick free.
-
-    Signature-compatible with :func:`repro.service.server.build_server`
-    so callers switch transports by switching constructors.
-    """
+    """Wire cache + scheduler + asyncio server; ``port=0`` = pick free."""
     scheduler = Scheduler(
         cache if cache is not None else RunCache(cache_dir),
         queue_depth=queue_depth,
@@ -396,5 +389,5 @@ def build_async_server(
 
 
 def serve_async(server: AsyncReproServiceServer) -> threading.Thread:
-    """Start the loop thread and return it (parity with ``serve``)."""
+    """Start the loop thread and return it."""
     return server.start()

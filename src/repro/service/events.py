@@ -26,22 +26,20 @@ closes when the terminal ``state`` event lands; late appends are
 dropped (they would have no consumer, and a terminal job emits
 nothing further by construction).
 
-Two kinds of consumer block on a log concurrently:
-
-* **threads** (the legacy ``ThreadingHTTPServer`` stream pump, the
-  blocking client) wait on a ``threading.Condition`` via
-  :meth:`JobEventLog.wait_events` / :meth:`JobEventLog.subscribe`;
-* **asyncio tasks** (the async front end's stream writers) register a
-  ``(loop, asyncio.Event)`` pair; appends wake them with
-  ``loop.call_soon_threadsafe`` — no thread per stream, which is what
-  lets one process hold thousands of open SSE connections.
+Consumers never block on a log.  The async front end's stream
+writers read it with :meth:`JobEventLog.snapshot` and park on an
+``asyncio.Event`` registered through
+:meth:`JobEventLog.register_async`; appends, made on scheduler
+threads, wake them with ``loop.call_soon_threadsafe`` — no thread per
+stream, which is what lets one process hold thousands of open SSE
+connections.  A plain ``threading.Lock`` guards the list.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.obs import REGISTRY
 
@@ -68,7 +66,7 @@ class JobEventLog:
     def __init__(self, job_id: str) -> None:
         self.job_id = job_id
         self._events: List[Dict[str, Any]] = []
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
         self._closed = False
         # Asyncio subscribers parked on this log: each append sets
         # their event on their own loop, thread-safely.
@@ -79,7 +77,7 @@ class JobEventLog:
     def append(self, etype: str, close: bool = False,
                **data: Any) -> Optional[Dict[str, Any]]:
         """Append one event; returns it (or None if already closed)."""
-        with self._cond:
+        with self._lock:
             if self._closed:
                 return None
             event: Dict[str, Any] = {
@@ -92,7 +90,6 @@ class JobEventLog:
             self._events.append(event)
             if close:
                 self._closed = True
-            self._cond.notify_all()
             waiters = list(self._async_waiters)
         _emitted_counter(etype).inc()
         for loop, async_event in waiters:
@@ -106,64 +103,23 @@ class JobEventLog:
 
     @property
     def closed(self) -> bool:
-        with self._cond:
+        with self._lock:
             return self._closed
 
     def snapshot(self, after: int = 0) -> Tuple[List[Dict[str, Any]], bool]:
         """``(events with seq > after, closed)`` — non-blocking."""
-        with self._cond:
+        with self._lock:
             return self._events[after:], self._closed
-
-    def wait_events(self, after: int = 0,
-                    timeout: float = 15.0) -> Tuple[List[Dict[str, Any]],
-                                                    bool]:
-        """Block up to ``timeout`` for events past ``after``.
-
-        Returns the same shape as :meth:`snapshot`; an empty event list
-        with ``closed=False`` means the timeout passed (heartbeat time).
-        """
-        deadline = time.monotonic() + timeout
-        with self._cond:
-            while len(self._events) <= after and not self._closed:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                self._cond.wait(remaining)
-            return self._events[after:], self._closed
-
-    def subscribe(self, after: int = 0,
-                  heartbeat: float = 15.0) -> Iterator[Dict[str, Any]]:
-        """Blocking iterator over events until the log closes.
-
-        Yields ``None`` at heartbeat intervals so a streaming caller
-        can keep its transport alive; filter those out if unwanted.
-        """
-        while True:
-            events, closed = self.wait_events(after, timeout=heartbeat)
-            for event in events:
-                after = event["seq"]
-                yield event
-            if closed and not events:
-                return
-            if closed:
-                # Drain once more in case the close raced the yield.
-                events, _ = self.snapshot(after)
-                for event in events:
-                    after = event["seq"]
-                    yield event
-                return
-            if not events:
-                yield None  # heartbeat tick
 
     # -- asyncio bridge ---------------------------------------------------
 
     def register_async(self, loop: Any, async_event: Any) -> None:
         """Wake ``async_event`` (on ``loop``) at the next append."""
-        with self._cond:
+        with self._lock:
             self._async_waiters.add((loop, async_event))
 
     def unregister_async(self, loop: Any, async_event: Any) -> None:
-        with self._cond:
+        with self._lock:
             self._async_waiters.discard((loop, async_event))
 
 

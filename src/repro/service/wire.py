@@ -1,13 +1,26 @@
-"""One v1 API surface shared by both HTTP front ends.
+"""The v1 API surface, independent of the HTTP transport.
 
-The threading server (:mod:`repro.service.server`) and the asyncio
-server (:mod:`repro.service.asyncserver`) are thin transports over the
-:class:`ServiceAPI` in this module: they parse bytes off a socket,
-call :meth:`ServiceAPI.dispatch`, and write back either a
-:class:`Response` (a complete JSON/text answer) or pump a
-:class:`StreamHandle` (a live SSE/JSONL event stream).  Because every
-endpoint's logic lives here once, the two servers cannot drift — same
-routes, same status codes, same error envelope.
+The asyncio server (:mod:`repro.service.asyncserver`) is a thin
+transport over the :class:`ServiceAPI` in this module: it parses bytes
+off a socket, calls :meth:`ServiceAPI.dispatch`, and writes back either
+a :class:`Response` (a complete JSON/text answer) or pumps a
+:class:`StreamHandle` (a live SSE/JSONL event stream).  Every
+endpoint's routes, status codes and error envelope live here once:
+
+========  ============================  ===================================
+method    path                          meaning
+========  ============================  ===================================
+POST      ``/v1/jobs``                  submit ``{"kind","params","priority"}``
+GET       ``/v1/jobs``                  list jobs (state filter, cursor)
+GET       ``/v1/jobs/{id}``             job state + per-cell progress
+GET       ``/v1/jobs/{id}/result``      result payload once ``done``
+GET       ``/v1/jobs/{id}/events``      live SSE/JSONL progress stream
+DELETE    ``/v1/jobs/{id}``             detach one waiter / cancel
+GET       ``/v1/cache/stats``           run-store counters
+GET       ``/v1/scenarios``             the scenario catalog (plugins incl.)
+GET       ``/v1/metrics``               Prometheus text exposition
+GET       ``/healthz``                  liveness + job counts
+========  ============================  ===================================
 
 **Error envelope.**  Every non-2xx answer is::
 
@@ -42,7 +55,7 @@ import json
 import time
 import urllib.parse
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.errors import (
     ConfigurationError,
@@ -66,7 +79,6 @@ __all__ = [
     "encode_jsonl",
     "error_payload",
     "heartbeat_frame",
-    "stream_frames",
 ]
 
 #: Suggested client backoff when the queue rejects a submission.
@@ -84,14 +96,6 @@ STREAM_CONTENT_TYPES = {
     "jsonl": "application/x-ndjson",
 }
 
-STREAMS_OPEN = REGISTRY.gauge(
-    "service_streams_open",
-    help="SSE/JSONL job event streams currently connected",
-)
-STREAM_EVENTS = REGISTRY.counter(
-    "service_stream_events_total",
-    help="Job events written to SSE/JSONL streams",
-)
 
 
 @dataclass
@@ -108,9 +112,9 @@ class Response:
 class StreamHandle:
     """An accepted ``GET /v1/jobs/{id}/events`` awaiting its pump.
 
-    The transport decides how to move frames (a blocking loop on the
-    threading server, chunked writes on the asyncio server); the
-    format, resume offset and underlying event log are fixed here.
+    The transport moves the frames (chunked writes on the asyncio
+    server); the format, resume offset and underlying event log are
+    fixed here.
     """
 
     job_id: str
@@ -182,18 +186,10 @@ def accept_allows(accept: Optional[str], offered: str) -> bool:
     return False
 
 
-def _header(headers: Any, name: str, default: Optional[str] = None
+def _header(headers: Optional[Dict[str, str]], name: str
             ) -> Optional[str]:
-    """Case-insensitive header lookup over Message objects or dicts."""
-    if headers is None:
-        return default
-    if isinstance(headers, dict):
-        for key, value in headers.items():
-            if key.lower() == name.lower():
-                return value
-        return default
-    value = headers.get(name)  # email.message.Message: case-insensitive
-    return default if value is None else value
+    """Header lookup; the transport passes lower-case header names."""
+    return None if headers is None else headers.get(name.lower())
 
 
 # -- stream frames --------------------------------------------------------
@@ -215,28 +211,6 @@ def encode_jsonl(event: Dict[str, Any]) -> bytes:
 def heartbeat_frame(fmt: str) -> bytes:
     """A no-op frame keeping an idle stream's transport alive."""
     return b": keep-alive\n\n" if fmt == "sse" else b"\n"
-
-
-def stream_frames(handle: StreamHandle,
-                  heartbeat: float = 15.0) -> Iterator[bytes]:
-    """Blocking byte-frame pump for one stream (threading server).
-
-    Yields encoded frames as events land, heartbeat frames on idle
-    ticks, and returns once the job's log closes.  The asyncio server
-    has its own non-blocking pump over the same log.
-    """
-    encode = encode_sse if handle.format == "sse" else encode_jsonl
-    STREAMS_OPEN.inc()
-    try:
-        for event in handle.log.subscribe(handle.after,
-                                          heartbeat=heartbeat):
-            if event is None:
-                yield heartbeat_frame(handle.format)
-            else:
-                STREAM_EVENTS.inc()
-                yield encode(event)
-    finally:
-        STREAMS_OPEN.inc(-1.0)
 
 
 # -- query helpers --------------------------------------------------------

@@ -9,7 +9,6 @@ import repro
 from repro import api
 from repro.errors import ConfigurationError, ServiceError
 from repro.obs import spans_from_jsonl
-from repro.service import ServiceClient, build_server, serve
 from repro.service.specs import sweep_plan
 from repro.simulation import (
     baseline_timeline,
@@ -20,23 +19,7 @@ from repro.simulation import (
 from repro.simulation.experiment import extract_metrics, replicate
 from repro.store import RunCache
 
-from test_service import quick_factory
-
 SEEDS = [0, 1]
-
-
-@pytest.fixture
-def service(tmp_path):
-    """A served scheduler over the fast fake runner; yields its URL."""
-    cache = RunCache(tmp_path / "store", runner_factory=quick_factory)
-    server = build_server(port=0, cache=cache, queue_depth=8,
-                          retry_backoff_s=0.01)
-    serve(server)
-    try:
-        yield f"http://127.0.0.1:{server.server_port}"
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +36,19 @@ class TestExposure:
             "CATALOG", "replicate", "compare", "sweep", "scenarios",
             "submit_job",
         }
+        # repro.service serves over one transport, the asyncio one.
+        import repro.service
+
+        assert set(repro.service.__all__) == {
+            "AsyncReproServiceServer", "CANCELLED", "DONE", "EventHub",
+            "FAILED", "JOB_KINDS", "JobEventLog", "QUEUED", "RUNNING",
+            "Job", "JobPlan", "JobProgress", "Scheduler", "ServiceAPI",
+            "ServiceClient", "build_async_server", "build_plan",
+            "comparison_from_payload", "execute_plan",
+            "resolve_scenario", "serve_async", "sweep_from_payload",
+        }
+        with pytest.raises(ModuleNotFoundError):
+            import repro.service.server  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +214,7 @@ class TestDeprecatedKwargs:
 class TestSubmitJob:
     def test_submit_and_wait_returns_result_payload(self, service):
         payload = api.submit_job(
-            "replicate", {"seeds": [3, 4]}, url=service
+            "replicate", {"seeds": [3, 4]}, url=service.base_url
         )
         assert payload["kind"] == "replicate"
         assert payload["seeds"] == [3, 4]
@@ -226,15 +222,14 @@ class TestSubmitJob:
 
     def test_submit_without_wait_returns_job_snapshot(self, service):
         job = api.submit_job(
-            "replicate", {"seeds": [7]}, url=service, wait=False
+            "replicate", {"seeds": [7]}, url=service.base_url, wait=False
         )
         assert job["state"] in ("queued", "running", "done")
-        client = ServiceClient(service)
-        client._await(job["id"], timeout=15)
-        assert client.result(job["id"])["metrics"] == [{"kpi": 7.0}]
+        service._await(job["id"], timeout=15)
+        assert service.result(job["id"])["metrics"] == [{"kpi": 7.0}]
 
     def test_bad_kind_raises(self, service):
         with pytest.raises(ConfigurationError):
-            api.submit_job("", url=service)
+            api.submit_job("", url=service.base_url)
         with pytest.raises(ServiceError):
-            api.submit_job("explode", url=service)
+            api.submit_job("explode", url=service.base_url)

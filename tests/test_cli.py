@@ -61,6 +61,10 @@ class TestParser:
         )
         assert args.port == 0 and args.workers == 4
         assert args.queue_depth == 8 and args.cache_dir == "/tmp/c"
+        # serve has one transport, so no flag picks one.
+        for flag in ("--legacy", "--async"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["serve", flag])
 
     def test_docstring_lists_every_subcommand(self):
         """The module docstring count stays in sync with the parser."""

@@ -3,7 +3,6 @@ v1 error envelope and the chaos harness's failure paths."""
 
 import asyncio
 import json
-import socket
 import time
 import urllib.request
 
@@ -18,13 +17,7 @@ from repro.errors import (
     ServiceError,
 )
 from repro.obs import REGISTRY
-from repro.service import (
-    ServiceClient,
-    build_async_server,
-    build_server,
-    serve,
-    serve_async,
-)
+from repro.service import ServiceClient, build_async_server, serve_async
 from repro.service.chaos import (
     corrupt_blobs,
     make_flaky_factory,
@@ -32,34 +25,7 @@ from repro.service.chaos import (
 )
 from repro.store import RunCache
 
-from test_service import quick_factory, sleepy_factory
-
-
-@pytest.fixture
-def async_service(tmp_path):
-    """An asyncio-served scheduler over the instant fake runner."""
-    cache = RunCache(tmp_path / "store", runner_factory=quick_factory)
-    server = build_async_server(port=0, cache=cache, queue_depth=8,
-                                retry_backoff_s=0.01)
-    serve_async(server)
-    try:
-        yield ServiceClient(f"http://127.0.0.1:{server.server_port}")
-    finally:
-        server.shutdown()
-        server.server_close()
-
-
-@pytest.fixture
-def slow_async_service(tmp_path):
-    cache = RunCache(tmp_path / "store", runner_factory=sleepy_factory)
-    server = build_async_server(port=0, cache=cache, queue_depth=4,
-                                retry_backoff_s=0.01)
-    serve_async(server)
-    try:
-        yield ServiceClient(f"http://127.0.0.1:{server.server_port}")
-    finally:
-        server.shutdown()
-        server.server_close()
+from test_service import quick_factory
 
 
 def _raw(client, method, path, headers=None, body=None):
@@ -79,10 +45,10 @@ def _raw(client, method, path, headers=None, body=None):
 
 
 class TestStreaming:
-    def test_jsonl_events_arrive_in_completion_order(self, async_service):
-        jid = async_service.submit(
+    def test_jsonl_events_arrive_in_completion_order(self, service):
+        jid = service.submit(
             "replicate", {"seeds": [4, 5, 6]})["job"]["id"]
-        events = list(async_service.watch_job(jid))
+        events = list(service.watch_job(jid))
         seqs = [e["seq"] for e in events]
         assert seqs == list(range(1, len(seqs) + 1)), (
             f"seqs not contiguous-from-1: {seqs}"
@@ -93,12 +59,12 @@ class TestStreaming:
         assert cell_done == [1, 2, 3]  # completion order, no gaps
         assert events[-1]["event"] == "state"  # terminal event closes
 
-    def test_sse_frames_match_jsonl_events(self, async_service):
-        jid = async_service.submit(
+    def test_sse_frames_match_jsonl_events(self, service):
+        jid = service.submit(
             "replicate", {"seeds": [7, 8]})["job"]["id"]
-        jsonl_events = list(async_service.watch_job(jid))
+        jsonl_events = list(service.watch_job(jid))
         status, headers, raw = _raw(
-            async_service, "GET", f"/v1/jobs/{jid}/events",
+            service, "GET", f"/v1/jobs/{jid}/events",
             headers={"Accept": "text/event-stream"},
         )
         assert status == 200
@@ -112,20 +78,27 @@ class TestStreaming:
             assert int(lines["id"]) == event["seq"]
             assert lines["event"] == event["event"]
             assert json.loads(lines["data"]) == event
+        # Both streams are finished: the one open-streams gauge is back
+        # at 0, and no second, never-moved gauge is exported.
+        samples = dict(line.rsplit(" ", 1)
+                       for line in service.metrics_text().splitlines()
+                       if line and not line.startswith("#"))
+        assert float(samples["service_async_streams_open"]) == 0
+        assert "service_streams_open" not in samples
 
-    def test_stream_resumes_after_seq(self, async_service):
-        jid = async_service.submit(
+    def test_stream_resumes_after_seq(self, service):
+        jid = service.submit(
             "replicate", {"seeds": [9, 10]})["job"]["id"]
-        full = list(async_service.watch_job(jid))
-        resumed = list(async_service.watch_job(jid, after=2))
+        full = list(service.watch_job(jid))
+        resumed = list(service.watch_job(jid, after=2))
         assert resumed == full[2:]
 
-    def test_last_event_id_header_resumes(self, async_service):
-        jid = async_service.submit(
+    def test_last_event_id_header_resumes(self, service):
+        jid = service.submit(
             "replicate", {"seeds": [11]})["job"]["id"]
-        list(async_service.watch_job(jid))  # run to completion
+        list(service.watch_job(jid))  # run to completion
         status, _, raw = _raw(
-            async_service, "GET", f"/v1/jobs/{jid}/events?format=jsonl",
+            service, "GET", f"/v1/jobs/{jid}/events?format=jsonl",
             headers={"Last-Event-ID": "2",
                      "Accept": "application/x-ndjson"},
         )
@@ -134,21 +107,21 @@ class TestStreaming:
                 for line in raw.decode().splitlines() if line.strip()]
         assert seqs and seqs[0] == 3
 
-    def test_submit_job_stream_true(self, async_service):
+    def test_submit_job_stream_true(self, service):
         from repro.api import submit_job
 
         events = list(submit_job(
             "replicate", {"seeds": [21, 22]},
-            url=async_service.base_url, stream=True,
+            url=service.base_url, stream=True,
         ))
         assert events[-1]["event"] == "state"
         assert events[-1]["state"] == "done"
         assert [e["done"] for e in events if e["event"] == "cell"] \
             == [1, 2]
 
-    def test_events_unknown_job_404(self, async_service):
+    def test_events_unknown_job_404(self, service):
         with pytest.raises(JobNotFoundError) as excinfo:
-            list(async_service.watch_job("j424242"))
+            list(service.watch_job("j424242"))
         assert excinfo.value.status == 404
         assert excinfo.value.code == "unknown_job"
 
@@ -236,8 +209,8 @@ class TestChaosRetry:
 
 class TestCoalescedDelete:
     def test_delete_with_second_waiter_detaches_only(
-            self, slow_async_service):
-        client = slow_async_service
+            self, slow_service):
+        client = slow_service
         blocker = client.submit(
             "replicate", {"seeds": [90, 91, 92]})["job"]
         first = client.submit("replicate", {"seeds": [80, 81]})
@@ -262,8 +235,8 @@ class TestCoalescedDelete:
                    for e in events)
         client._await(blocker["id"], timeout=30)
 
-    def test_delete_last_waiter_cancels(self, slow_async_service):
-        client = slow_async_service
+    def test_delete_last_waiter_cancels(self, slow_service):
+        client = slow_service
         blocker = client.submit(
             "replicate", {"seeds": [93, 94, 95]})["job"]
         victim = client.submit("replicate", {"seeds": [85]})["job"]
@@ -277,7 +250,7 @@ class TestCoalescedDelete:
 
 
 class TestV1Api:
-    def test_error_envelope_shape_on_every_error(self, async_service):
+    def test_error_envelope_shape_on_every_error(self, service):
         cases = [
             ("GET", "/v1/jobs/j424242", 404, "unknown_job"),
             ("GET", "/v1/nowhere", 404, "not_found"),
@@ -285,23 +258,23 @@ class TestV1Api:
             ("GET", "/v1/jobs?state=bogus", 400, "bad_request"),
         ]
         for method, path, expected_status, expected_code in cases:
-            status, _, raw = _raw(async_service, method, path)
+            status, _, raw = _raw(service, method, path)
             assert status == expected_status, (method, path)
             envelope = json.loads(raw)["error"]
             assert envelope["code"] == expected_code
             assert set(envelope) == {"code", "message", "detail"}
 
-    def test_405_carries_allow_header(self, async_service):
-        status, headers, _ = _raw(async_service, "DELETE", "/healthz")
+    def test_405_carries_allow_header(self, service):
+        status, headers, _ = _raw(service, "DELETE", "/healthz")
         assert status == 405
         assert headers["Allow"] == "GET"
 
-    def test_429_carries_retry_after(self, slow_async_service):
-        client = slow_async_service
+    def test_429_carries_retry_after(self, slow_service):
+        client = slow_service
         blocker = client.submit(
             "replicate", {"seeds": list(range(8))})["job"]
         time.sleep(0.05)  # dispatcher picks the blocker up
-        for seed in (60, 61, 62, 63):
+        for seed in (60, 61):
             client.submit("replicate", {"seeds": [seed]})
         status, headers, raw = _raw(
             client, "POST", "/v1/jobs",
@@ -319,9 +292,9 @@ class TestV1Api:
         assert excinfo.value.retry_after_s == 0.5
         client._await(blocker["id"], timeout=60)
 
-    def test_submit_sets_location_header(self, async_service):
+    def test_submit_sets_location_header(self, service):
         status, headers, raw = _raw(
-            async_service, "POST", "/v1/jobs",
+            service, "POST", "/v1/jobs",
             headers={"Content-Type": "application/json"},
             body=json.dumps({"kind": "replicate",
                              "params": {"seeds": [41]}}).encode(),
@@ -330,50 +303,50 @@ class TestV1Api:
         jid = json.loads(raw)["job"]["id"]
         assert headers["Location"] == f"/v1/jobs/{jid}"
 
-    def test_jobs_list_filters_and_paginates(self, async_service):
+    def test_jobs_list_filters_and_paginates(self, service):
         ids = []
         for seed in range(5):
-            ids.append(async_service.submit(
+            ids.append(service.submit(
                 "replicate", {"seeds": [70 + seed]})["job"]["id"])
         for jid in ids:
-            async_service._await(jid, timeout=30)
-        page = async_service.jobs(state="done", limit=2)
+            service._await(jid, timeout=30)
+        page = service.jobs(state="done", limit=2)
         assert page["count"] == 2
         assert page["next_cursor"] == page["jobs"][-1]["id"]
-        rest = async_service.jobs(state="done", limit=10,
+        rest = service.jobs(state="done", limit=10,
                                   cursor=page["next_cursor"])
         assert rest["next_cursor"] is None
-        walked = [j["id"] for j in async_service.iter_jobs(
+        walked = [j["id"] for j in service.iter_jobs(
             state="done", page_size=2)]
         assert walked == sorted(ids)
-        assert async_service.jobs(state="failed")["jobs"] == []
+        assert service.jobs(state="failed")["jobs"] == []
 
-    def test_accept_negotiation(self, async_service):
-        jid = async_service.submit(
+    def test_accept_negotiation(self, service):
+        jid = service.submit(
             "replicate", {"seeds": [75]})["job"]["id"]
-        list(async_service.watch_job(jid))
+        list(service.watch_job(jid))
         # Accept picks the stream format without ?format=.
         _, headers, _ = _raw(
-            async_service, "GET", f"/v1/jobs/{jid}/events",
+            service, "GET", f"/v1/jobs/{jid}/events",
             headers={"Accept": "application/x-ndjson"},
         )
         assert headers["Content-Type"] == "application/x-ndjson"
         # JSON endpoints refuse an Accept that excludes JSON.
         status, _, raw = _raw(
-            async_service, "GET", f"/v1/jobs/{jid}",
+            service, "GET", f"/v1/jobs/{jid}",
             headers={"Accept": "text/csv"},
         )
         assert status == 406
         assert json.loads(raw)["error"]["code"] == "not_acceptable"
         # And the stream endpoint refuses a JSON-only Accept.
         status, _, _ = _raw(
-            async_service, "GET", f"/v1/jobs/{jid}/events",
+            service, "GET", f"/v1/jobs/{jid}/events",
             headers={"Accept": "application/json;q=1, */*;q=0"},
         )
         assert status == 406
 
-    def test_typed_client_exceptions(self, slow_async_service):
-        client = slow_async_service
+    def test_typed_client_exceptions(self, slow_service):
+        client = slow_service
         with pytest.raises(BadRequestError):
             client.submit("meditate", {})
         with pytest.raises(JobNotFoundError):
@@ -408,38 +381,6 @@ class TestV1Api:
         finally:
             server.shutdown()
             server.server_close()
-
-    @pytest.mark.parametrize("framing", [
-        b"Transfer-Encoding: chunked\r\n",
-        b"Transfer-Encoding: chunked\r\nContent-Length: 5\r\n",
-    ], ids=["chunked", "chunked-and-length"])
-    def test_chunked_body_gets_one_400_then_close(self, async_service,
-                                                  framing):
-        """A Transfer-Encoding body is refused once; its chunk bytes are
-        never parsed as a second request on the same connection."""
-        port = int(async_service.base_url.rsplit(":", 1)[1])
-        body = json.dumps({"kind": "replicate",
-                           "params": {"seeds": [80]}}).encode()
-        chunked = b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body)
-        with socket.create_connection(("127.0.0.1", port),
-                                      timeout=10) as sock:
-            sock.sendall(b"POST /v1/jobs HTTP/1.1\r\nHost: x\r\n"
-                         b"Content-Type: application/json\r\n"
-                         + framing + b"\r\n" + chunked)
-            received = b""
-            while True:
-                try:
-                    data = sock.recv(65536)
-                except ConnectionResetError:  # closed with bytes unread
-                    break
-                if not data:  # the server closed the connection
-                    break
-                received += data
-        assert received.count(b"HTTP/1.1 ") == 1, received
-        head, _, payload = received.partition(b"\r\n\r\n")
-        assert head.startswith(b"HTTP/1.1 400 ")
-        assert json.loads(payload)["error"]["code"] == "bad_request"
-        assert async_service.jobs()["jobs"] == []
 
 
 # -- scale: hundreds of concurrent keep-alive clients ---------------------
@@ -530,54 +471,3 @@ class TestConcurrency:
         assert len(results) == self.CLIENTS
         peak = REGISTRY.gauge("service_async_connections_open").value
         assert peak == 0  # every connection closed cleanly
-
-
-# -- transport equivalence ------------------------------------------------
-
-
-class TestTransportEquivalence:
-    def test_async_and_legacy_serve_identical_payloads(self, tmp_path):
-        """Both transports, same store: byte-identical KPI payloads."""
-        params = {"seeds": [1, 2, 3, 4]}
-        results = {}
-        for name, build, start in (
-            ("legacy", build_server, serve),
-            ("async", build_async_server, serve_async),
-        ):
-            cache = RunCache(tmp_path / f"store-{name}",
-                             runner_factory=quick_factory)
-            server = build(port=0, cache=cache)
-            start(server)
-            try:
-                client = ServiceClient(
-                    f"http://127.0.0.1:{server.server_port}"
-                )
-                jid = client.submit(
-                    "replicate", params)["job"]["id"]
-                client._await(jid, timeout=30)
-                results[name] = json.dumps(
-                    client.result(jid), sort_keys=True
-                )
-            finally:
-                server.shutdown()
-                server.server_close()
-        assert results["legacy"] == results["async"]
-
-    def test_legacy_server_streams_events_too(self, tmp_path):
-        cache = RunCache(tmp_path / "store",
-                         runner_factory=quick_factory)
-        server = build_server(port=0, cache=cache)
-        serve(server)
-        try:
-            client = ServiceClient(
-                f"http://127.0.0.1:{server.server_port}"
-            )
-            jid = client.submit(
-                "replicate", {"seeds": [51, 52]})["job"]["id"]
-            events = list(client.watch_job(jid, timeout=30))
-            assert [e["seq"] for e in events] \
-                == list(range(1, len(events) + 1))
-            assert events[-1]["state"] == "done"
-        finally:
-            server.shutdown()
-            server.server_close()

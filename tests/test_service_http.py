@@ -8,42 +8,13 @@ import urllib.request
 import pytest
 
 from repro.errors import ReproError, ServiceError
-from repro.service import ServiceClient, build_server, serve
+from repro.service import ServiceClient, build_async_server, serve_async
 from repro.simulation import (
     baseline_timeline,
     compare_scenarios,
     megamart_timeline,
 )
 from repro.store import RunCache
-
-from test_service import quick_factory, sleepy_factory
-
-
-@pytest.fixture
-def service(tmp_path):
-    """A served scheduler over the fast fake runner; yields a client."""
-    cache = RunCache(tmp_path / "store", runner_factory=quick_factory)
-    server = build_server(port=0, cache=cache, queue_depth=8,
-                          retry_backoff_s=0.01)
-    serve(server)
-    try:
-        yield ServiceClient(f"http://127.0.0.1:{server.server_port}")
-    finally:
-        server.shutdown()
-        server.server_close()
-
-
-@pytest.fixture
-def slow_service(tmp_path):
-    cache = RunCache(tmp_path / "store", runner_factory=sleepy_factory)
-    server = build_server(port=0, cache=cache, queue_depth=2,
-                          retry_backoff_s=0.01)
-    serve(server)
-    try:
-        yield ServiceClient(f"http://127.0.0.1:{server.server_port}")
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 class TestLifecycle:
@@ -182,9 +153,9 @@ class TestServingSemantics:
 
         cache = RunCache(tmp_path / "store",
                          runner_factory=always_crash_factory)
-        server = build_server(port=0, cache=cache, workers=2,
-                              max_retries=0, retry_backoff_s=0.01)
-        serve(server)
+        server = build_async_server(port=0, cache=cache, workers=2,
+                                    max_retries=0, retry_backoff_s=0.01)
+        serve_async(server)
         try:
             client = ServiceClient(
                 f"http://127.0.0.1:{server.server_port}"
@@ -201,8 +172,8 @@ class TestBitIdentical:
     def test_http_compare_matches_in_process(self, tmp_path):
         """The acceptance criterion: HTTP KPIs == in-process KPIs."""
         cache = RunCache(tmp_path / "store")  # real simulator
-        server = build_server(port=0, cache=cache)
-        serve(server)
+        server = build_async_server(port=0, cache=cache)
+        serve_async(server)
         try:
             client = ServiceClient(
                 f"http://127.0.0.1:{server.server_port}"
