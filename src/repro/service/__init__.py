@@ -4,11 +4,16 @@ Turns the in-process simulator into a shared backend many clients can
 drive over HTTP — the serving-stack counterpart to the run store:
 
 * :mod:`repro.service.jobs` — job model and validated state machine.
-* :mod:`repro.service.specs` — JSON params ⇄ scenarios / result payloads.
+* :mod:`repro.service.specs` — JSON params ⇄ scenarios / result payloads,
+  laid out on the library's one grid
+  (:func:`repro.simulation.experiment.grid`).
 * :mod:`repro.service.scheduler` — bounded priority queue with request
   coalescing, backpressure, cancellation and crash retry.
-* :mod:`repro.service.workers` — process-pool bridge streaming finished
-  cells into the store so partial results survive crashes.
+* :mod:`repro.service.workers` — runs a job's plan through the run
+  store, which computes missing cells on the library's one compute path
+  (:func:`repro.simulation.cells.compute_cells`) over the scheduler's
+  :class:`~repro.simulation.cells.WorkerPool` and stores each as it
+  lands, so partial results survive crashes.
 * :mod:`repro.service.events` — per-job sequence-numbered event logs.
 * :mod:`repro.service.wire` — the v1 API surface (envelope, routing,
   content negotiation), independent of the transport.

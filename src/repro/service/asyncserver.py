@@ -33,7 +33,7 @@ import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from http.client import responses as _REASONS
-from typing import Any, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.obs import REGISTRY
 from repro.service.scheduler import Scheduler

@@ -101,11 +101,6 @@ class JobEventLog:
 
     # -- consumer side ----------------------------------------------------
 
-    @property
-    def closed(self) -> bool:
-        with self._lock:
-            return self._closed
-
     def snapshot(self, after: int = 0) -> Tuple[List[Dict[str, Any]], bool]:
         """``(events with seq > after, closed)`` — non-blocking."""
         with self._lock:

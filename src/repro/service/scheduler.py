@@ -6,7 +6,7 @@ run at once: a job whose cells are all in the store no longer waits
 behind a cold one.  ``workers=1`` keeps one dispatcher and computes in
 the server process, in strict priority order.  With ``workers >= 2``
 every job's missing cells go to one
-:class:`~repro.store.runcache.WorkerPool` of ``workers`` processes that
+:class:`~repro.simulation.cells.WorkerPool` of ``workers`` processes that
 lives as long as the scheduler: it starts on the first cell that needs
 it and :meth:`Scheduler.shutdown` stops it.  Four behaviours make it a
 serving component rather than a work loop:
@@ -78,8 +78,8 @@ from repro.service.jobs import (
 )
 from repro.service.specs import JobPlan, build_plan
 from repro.service.workers import execute_plan, reset_progress
-from repro.simulation.experiment import effective_workers
-from repro.store.runcache import RunCache, WorkerPool
+from repro.simulation.cells import WorkerPool, effective_workers
+from repro.store.runcache import RunCache
 
 __all__ = ["Scheduler"]
 
@@ -125,14 +125,6 @@ class Scheduler:
             raise ConfigurationError(
                 f"queue_depth must be >= 1, got {queue_depth}"
             )
-        if workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        if max_retries < 0:
-            raise ConfigurationError(
-                f"max_retries must be >= 0, got {max_retries}"
-            )
-        self.cache = cache
-        self.queue_depth = queue_depth
         # Clamp to the core count: oversubscribing a small machine makes
         # fan-out slower than serial (see BENCH_perf.json), and a serve
         # process configured for a bigger box degrades gracefully here.
@@ -140,9 +132,13 @@ class Scheduler:
         # what isolates the server from crashing runners, and retry-on-
         # worker-death only works while the dispatchers themselves
         # survive.  ``workers`` is also the number of dispatchers.
-        self.workers = workers if workers <= 1 else max(
-            2, effective_workers(workers)
-        )
+        self.workers = max(min(workers, 2), effective_workers(workers))
+        if max_retries < 0:
+            raise ConfigurationError(
+                f"max_retries must be >= 0, got {max_retries}"
+            )
+        self.cache = cache
+        self.queue_depth = queue_depth
         self._pool = WorkerPool(self.workers) if self.workers > 1 else None
         self.max_retries = max_retries
         self.retry_backoff_s = retry_backoff_s

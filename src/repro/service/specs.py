@@ -30,7 +30,9 @@ from repro.errors import ConfigurationError
 from repro.registry import CATALOG
 from repro.simulation.experiment import (
     ComparisonResult,
+    Grid,
     comparison_from_metrics,
+    grid,
 )
 from repro.simulation.scenario import Scenario
 from repro.simulation.sweep import SweepResult, sweep_from_metrics
@@ -126,11 +128,29 @@ class JobPlan:
     assemble: Callable[[List[Dict[str, float]]], Dict[str, Any]]
 
 
-def _plan_key(kind: str, scenarios: Sequence[Scenario],
-              extra: Dict[str, Any]) -> str:
-    cells = [[scenario_fingerprint(s), s.seed] for s in scenarios]
-    blob = canonical_json({"kind": kind, "cells": cells, "extra": extra})
-    return hashlib.sha256(blob.encode("ascii")).hexdigest()
+def _plan(
+    cells: Grid,
+    extra: Dict[str, Any],
+    payload: Callable[[List[List[Dict[str, float]]]], Dict[str, Any]],
+) -> JobPlan:
+    """The job that computes ``cells``; ``payload`` words its result.
+
+    The coalescing key hashes the kind, the resolved ``(fingerprint,
+    seed)`` cells and ``extra``; ``payload`` gets the per-cell metrics
+    split into one row per grid point.
+    """
+    blob = canonical_json({
+        "kind": cells.kind,
+        "cells": [[scenario_fingerprint(s), s.seed] for s in cells.cells],
+        "extra": extra,
+    })
+    return JobPlan(
+        kind=cells.kind,
+        scenarios=cells.cells,
+        key=hashlib.sha256(blob.encode("ascii")).hexdigest(),
+        assemble=lambda metrics: {"kind": cells.kind,
+                                  **payload(cells.rows(metrics))},
+    )
 
 
 def build_plan(kind: str, params: Dict[str, Any]) -> JobPlan:
@@ -165,26 +185,12 @@ def _compare_plan(params: Dict[str, Any]) -> JobPlan:
     scenario_a = resolve_scenario(params.get("a", "hackathon"))
     scenario_b = resolve_scenario(params.get("b", "traditional"))
     seeds = resolve_seeds(params.get("seeds", 3))
-    seeded = [scenario_a.with_seed(s) for s in seeds] + [
-        scenario_b.with_seed(s) for s in seeds
-    ]
+    cells = grid("compare", (scenario_a, scenario_b), seeds,
+                 Scenario.with_seed)
     names = {"name_a": scenario_a.name, "name_b": scenario_b.name}
-
-    def assemble(metrics: List[Dict[str, float]]) -> Dict[str, Any]:
-        return {
-            "kind": "compare",
-            **names,
-            "seeds": seeds,
-            "metrics_a": metrics[: len(seeds)],
-            "metrics_b": metrics[len(seeds):],
-        }
-
-    return JobPlan(
-        kind="compare",
-        scenarios=seeded,
-        key=_plan_key("compare", seeded, names),
-        assemble=assemble,
-    )
+    return _plan(cells, names, lambda rows: {
+        **names, "seeds": seeds, "metrics_a": rows[0], "metrics_b": rows[1],
+    })
 
 
 def _sweep_plan(params: Dict[str, Any]) -> JobPlan:
@@ -194,53 +200,24 @@ def _sweep_plan(params: Dict[str, Any]) -> JobPlan:
         parameter, params.get("values"), base=params.get("scenario")
     )
     seeds = resolve_seeds(params.get("seeds", 2))
-    seeded = [factory(value, seed) for value in values for seed in seeds]
+    cells = grid("sweep", values, seeds, factory)
     labels = [label_fn(v) for v in values]
-    extra = {"parameter": parameter, "labels": labels}
-
-    def assemble(metrics: List[Dict[str, float]]) -> Dict[str, Any]:
-        per_point = len(seeds)
-        return {
-            "kind": "sweep",
-            "parameter_name": parameter,
-            "values": values,
-            "labels": labels,
-            "seeds": seeds,
-            "per_point_metrics": [
-                metrics[i * per_point : (i + 1) * per_point]
-                for i in range(len(values))
-            ],
-        }
-
-    return JobPlan(
-        kind="sweep",
-        scenarios=seeded,
-        key=_plan_key("sweep", seeded, extra),
-        assemble=assemble,
-    )
+    return _plan(cells, {"parameter": parameter, "labels": labels},
+                 lambda rows: {
+                     "parameter_name": parameter, "values": values,
+                     "labels": labels, "seeds": seeds,
+                     "per_point_metrics": rows,
+                 })
 
 
 def _replicate_plan(params: Dict[str, Any]) -> JobPlan:
     _require(params, ("scenario", "seeds"))
     scenario = resolve_scenario(params.get("scenario", "hackathon"))
     seeds = resolve_seeds(params.get("seeds", 3))
-    seeded = [scenario.with_seed(s) for s in seeds]
-    extra = {"name": scenario.name}
-
-    def assemble(metrics: List[Dict[str, float]]) -> Dict[str, Any]:
-        return {
-            "kind": "replicate",
-            "scenario": scenario.name,
-            "seeds": seeds,
-            "metrics": metrics,
-        }
-
-    return JobPlan(
-        kind="replicate",
-        scenarios=seeded,
-        key=_plan_key("replicate", seeded, extra),
-        assemble=assemble,
-    )
+    cells = grid("replicate", (scenario,), seeds, Scenario.with_seed)
+    return _plan(cells, {"name": scenario.name}, lambda rows: {
+        "scenario": scenario.name, "seeds": seeds, "metrics": rows[0],
+    })
 
 
 # -- payload round-trips --------------------------------------------------

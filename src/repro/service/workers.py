@@ -3,9 +3,11 @@
 :func:`execute_plan` is the scheduler's unit of attempt: it resolves a
 :class:`~repro.service.specs.JobPlan` against the shared
 :class:`~repro.store.RunCache`, computing only the cells absent from
-the store.  Up to ``workers`` attempts run at once, one per dispatcher
+the store, on the same grid and compute path
+(:func:`~repro.simulation.cells.compute_cells`) as a library call.
+Up to ``workers`` attempts run at once, one per dispatcher
 thread; with ``workers >= 2`` they all send their missing cells to the
-scheduler's one long-lived :class:`~repro.store.runcache.WorkerPool`,
+scheduler's one long-lived :class:`~repro.simulation.cells.WorkerPool`,
 whose processes return each cell's KPI dictionary rather than its
 history.  Every finished ``(value, seed)`` cell is persisted the moment
 it lands — via the cache's per-cell streaming — so a worker-process
@@ -25,7 +27,8 @@ from typing import Any, Callable, Dict, Optional
 
 from repro.service.jobs import Job
 from repro.service.specs import JobPlan
-from repro.store.runcache import RunCache, WorkerPool
+from repro.simulation.cells import WorkerPool
+from repro.store.runcache import RunCache
 
 __all__ = ["execute_plan", "reset_progress"]
 
@@ -53,18 +56,10 @@ def execute_plan(
     RunCancelled
         ``cancel_event`` was set between cells.
     """
-
-    def on_cell(index: int, from_cache: bool) -> None:
-        if on_progress is not None:
-            on_progress(index, from_cache)
-
-    def should_cancel() -> bool:
-        return cancel_event is not None and cancel_event.is_set()
-
     metrics = cache.fetch_metrics(
         plan.scenarios,
-        on_cell=on_cell,
-        should_cancel=should_cancel,
+        on_cell=on_progress,
+        should_cancel=None if cancel_event is None else cancel_event.is_set,
         pool=pool,
     )
     return plan.assemble(metrics)

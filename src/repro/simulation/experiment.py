@@ -5,10 +5,12 @@ significance test per KPI".  :func:`replicate` runs a scenario under a
 seed list; :func:`compare_scenarios` pairs two scenarios seed-by-seed
 and attaches Mann–Whitney / Cliff's-delta comparisons per metric.
 
-Everything that returns KPIs (:func:`replicate_metrics`,
-:func:`compare_scenarios`, :func:`~repro.simulation.sweep.run_sweep`)
-runs :func:`_run_metrics` per cell, so a serial run holds one history
-at a time and a pooled run ships back KPI dictionaries, not histories.
+These, :func:`~repro.simulation.sweep.run_sweep`, the run store and
+the service's job plans all lay out their cells with one :func:`grid`
+and run them through :func:`~repro.simulation.cells.compute_cells`.
+Everything that returns KPIs runs a KPI-only cell, so a serial run
+holds one history at a time and a pooled run ships back KPI
+dictionaries, not histories.
 
 The two scenarios of a comparison are spelled ``a`` and ``b``
 everywhere in the public API — the facade (:mod:`repro.api`), the HTTP
@@ -17,21 +19,37 @@ job parameters and this module all agree.
 
 from __future__ import annotations
 
-import os
-import pickle
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, TypeVar
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    TypeVar,
+)
 
 from repro.errors import ConfigurationError
 from repro.obs import REGISTRY, span
-from repro.simulation.runner import LongitudinalRunner, ProjectHistory
+from repro.simulation.cells import (
+    RunnerFactory,
+    _run_history,
+    _run_metrics,
+    call_pool,
+    compute_cells,
+    effective_workers,
+    extract_metrics,
+)
+from repro.simulation.runner import ProjectHistory
 from repro.simulation.scenario import Scenario
-from repro.simulation.template import template_runner
 from repro.stats.summary import SampleSummary, describe
 from repro.stats.tests import ComparisonTest, mann_whitney
 
 __all__ = [
+    "Grid",
+    "grid",
     "effective_workers",
     "extract_metrics",
     "replicate",
@@ -52,70 +70,49 @@ _BATCH_SECONDS = REGISTRY.histogram(
 )
 
 
+P = TypeVar("P")
 T = TypeVar("T")
-RunnerFactory = Callable[[Scenario], LongitudinalRunner]
 
 
-def extract_metrics(history: ProjectHistory) -> Dict[str, float]:
-    """Flatten a run history into the KPI dictionary the benches use."""
-    return dict(history.totals)
+@dataclass(frozen=True)
+class Grid:
+    """The points x seeds cells of one replicate, compare or sweep.
 
-
-def _run_history(
-    scenario: Scenario,
-    runner_factory: Optional[RunnerFactory],
-) -> ProjectHistory:
-    """Execute one seeded scenario — the unit of work a pool ships out.
-
-    Module-level so it pickles by reference into worker processes.  Each
-    run builds its own :class:`~repro.rng.RngHub` from the scenario seed,
-    so results are independent of which process (or order) runs it.
-    Without a ``runner_factory`` the runner comes from the world-template
-    cache (:func:`~repro.simulation.template.template_runner`), the one
-    place default runners are set up.
+    ``cells[i * len(seeds) + j]`` is ``make(points[i], seeds[j])``.  A
+    replicate's points are ``(scenario,)``, a comparison's ``(a, b)``
+    and a sweep's its values.
     """
-    if runner_factory is None:
-        return template_runner(scenario).run()
-    return runner_factory(scenario).run()
+
+    kind: str
+    points: Sequence[Any]
+    seeds: List[int]
+    cells: List[Scenario]
+
+    def rows(self, results: Sequence[T]) -> List[List[T]]:
+        """Split per-cell results, in cell order, into one row per point."""
+        n = len(self.seeds)
+        return [list(results[i * n:(i + 1) * n])
+                for i in range(len(self.points))]
 
 
-def _run_metrics(
-    scenario: Scenario,
-    runner_factory: Optional[RunnerFactory],
-) -> Dict[str, float]:
-    """One seeded scenario's KPI dictionary — what a store pool ships back.
-
-    A history pickles to hundreds of KiB; its KPI dictionary to about
-    half a KiB, so pool workers return this instead of the history.
-    """
-    return extract_metrics(_run_history(scenario, runner_factory))
-
-
-def _picklable(payload: object) -> bool:
-    """True when ``payload`` can cross a process boundary.
-
-    A custom ``runner_factory`` may be a lambda or closure, which cannot;
-    callers fall back to the serial path rather than failing
-    mid-experiment.
-    """
-    try:
-        pickle.dumps(payload)
-    except Exception:
-        return False
-    return True
-
-
-def effective_workers(workers: int) -> int:
-    """Clamp a worker request to the machine's core count.
-
-    Oversubscribing a small machine makes fan-out *slower* than serial
-    (BENCH_perf.json: ``workers=4`` ~1.4x slower at ``cpu_count: 1``),
-    so a request beyond ``os.cpu_count()`` is capped there — which on a
-    single-core runner degrades to the serial path.
-    """
-    if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    return min(workers, os.cpu_count() or 1)
+def grid(
+    kind: str,
+    points: Sequence[P],
+    seeds: Iterable[int],
+    make: Callable[[P, int], Scenario],
+) -> Grid:
+    """Validate and lay out a ``"replicate"``, ``"compare"`` or
+    ``"sweep"`` grid; only a sweep's points come from its caller."""
+    if not points:
+        raise ConfigurationError("sweep needs at least one parameter value")
+    seed_list = [int(seed) for seed in seeds]
+    if not seed_list:
+        raise ConfigurationError(
+            "sweep needs at least one seed" if kind == "sweep"
+            else "need at least one seed"
+        )
+    cells = [make(point, seed) for point in points for seed in seed_list]
+    return Grid(kind, points, seed_list, cells)
 
 
 def _run_many(
@@ -124,29 +121,20 @@ def _run_many(
     workers: int,
     cell: Callable[[Scenario, Optional[RunnerFactory]], T] = _run_metrics,
 ) -> List[T]:
-    """Run already-seeded scenarios through ``cell``, pooled or serially.
+    """Run already-seeded scenarios through ``cell``, in input order.
 
-    ``cell`` is :func:`_run_metrics` (the default) or
-    :func:`_run_history`.  Results come back in input order regardless
-    of completion order, and each is bit-identical to what a serial run
-    would produce — every run derives all randomness from its own seed.
+    With ``workers`` > 1 (capped at the core count) they run on a
+    :class:`~repro.simulation.cells.WorkerPool` opened for this call.
     """
-    _RUNS_TOTAL.inc(len(scenarios))
     workers = effective_workers(workers)
-    pooled = workers > 1 and _picklable((scenarios, runner_factory))
-    with span("experiment.run_many", runs=len(scenarios),
-              workers=workers if pooled else 1):
-        with _BATCH_SECONDS.time():
-            if pooled:
-                with ProcessPoolExecutor(
-                    max_workers=min(workers, len(scenarios))
-                ) as pool:
-                    futures = [
-                        pool.submit(cell, scenario, runner_factory)
-                        for scenario in scenarios
-                    ]
-                    return [f.result() for f in futures]
-            return [cell(scenario, runner_factory) for scenario in scenarios]
+    _RUNS_TOTAL.inc(len(scenarios))
+    results: List[T] = [None] * len(scenarios)  # type: ignore[list-item]
+    with span("experiment.run_many", runs=len(scenarios), workers=workers):
+        with _BATCH_SECONDS.time(), \
+                call_pool(workers, len(scenarios)) as pool:
+            compute_cells(list(enumerate(scenarios)), runner_factory,
+                          results.__setitem__, pool=pool, cell=cell)
+    return results
 
 
 def _replicate(
@@ -156,14 +144,10 @@ def _replicate(
     workers: int,
     cell: Callable[[Scenario, Optional[RunnerFactory]], T],
 ) -> List[T]:
-    if not seeds:
-        raise ConfigurationError("need at least one seed")
-    if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    seeded = [scenario.with_seed(int(seed)) for seed in seeds]
+    cells = grid("replicate", (scenario,), seeds, Scenario.with_seed)
     with span("experiment.replicate", scenario=scenario.name,
-              seeds=len(seeded)):
-        return _run_many(seeded, runner_factory, workers, cell)
+              seeds=len(cells.seeds)):
+        return _run_many(cells.cells, runner_factory, workers, cell)
 
 
 def replicate(
@@ -288,19 +272,9 @@ def compare_scenarios(
     draining arm A before starting arm B.  Run serially, arm B's runs
     clone the world templates arm A's runs built for the same seeds.
     """
-    if not seeds:
-        raise ConfigurationError("need at least one seed")
-    if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    seeded = [a.with_seed(int(s)) for s in seeds] + [
-        b.with_seed(int(s)) for s in seeds
-    ]
-    with span("experiment.compare", a=a.name, b=b.name, seeds=len(seeds)):
-        metrics = _run_many(seeded, runner_factory, workers)
-    return comparison_from_metrics(
-        a.name,
-        b.name,
-        seeds,
-        metrics[: len(seeds)],
-        metrics[len(seeds):],
-    )
+    cells = grid("compare", (a, b), seeds, Scenario.with_seed)
+    with span("experiment.compare", a=a.name, b=b.name,
+              seeds=len(cells.seeds)):
+        metrics = _run_many(cells.cells, runner_factory, workers)
+    return comparison_from_metrics(a.name, b.name, cells.seeds,
+                                   *cells.rows(metrics))

@@ -17,8 +17,8 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.obs import span
-from repro.simulation.experiment import _run_many
-from repro.simulation.runner import LongitudinalRunner
+from repro.simulation.cells import RunnerFactory
+from repro.simulation.experiment import _run_many, grid
 from repro.simulation.scenario import Scenario
 from repro.stats.summary import SampleSummary, describe
 
@@ -115,9 +115,7 @@ def run_sweep(
     values: Sequence[object],
     factory: Callable[[object, int], Scenario],
     seeds: Sequence[int] = (),
-    runner_factory: Optional[
-        Callable[[Scenario], LongitudinalRunner]
-    ] = None,
+    runner_factory: Optional[RunnerFactory] = None,
     label_fn: Optional[Callable[[object], str]] = None,
     workers: int = 1,
 ) -> SweepResult:
@@ -143,21 +141,9 @@ def run_sweep(
         serially, cells that differ only in run-time fields (plenary
         timing, team policy, ...) clone one world template per seed.
     """
-    if not values:
-        raise ConfigurationError("sweep needs at least one parameter value")
-    if not seeds:
-        raise ConfigurationError("sweep needs at least one seed")
-    if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    scenarios = [
-        factory(value, int(seed)) for value in values for seed in seeds
-    ]
+    cells = grid("sweep", values, seeds, factory)
     with span("experiment.sweep", parameter=parameter,
-              points=len(values), seeds=len(seeds)):
-        metrics = _run_many(scenarios, runner_factory, workers)
-    per_point = len(seeds)
-    chunks = [
-        metrics[i * per_point : (i + 1) * per_point]
-        for i in range(len(values))
-    ]
-    return sweep_from_metrics(parameter, values, chunks, label_fn=label_fn)
+              points=len(values), seeds=len(cells.seeds)):
+        metrics = _run_many(cells.cells, runner_factory, workers)
+    return sweep_from_metrics(parameter, values, cells.rows(metrics),
+                              label_fn=label_fn)

@@ -9,7 +9,7 @@ the initialized runner per setup fingerprint and materializes runners
 by cloning the pickled template (~2 ms, against ~9 ms to build, warm, on
 a 2-vCPU container) instead of re-running the builder.  Every run
 without a custom ``runner_factory`` gets its runner here
-(:func:`repro.simulation.experiment._run_history`).
+(:func:`repro.simulation.cells._run_history`).
 
 Two properties make the clone safe:
 

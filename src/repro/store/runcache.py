@@ -9,14 +9,16 @@ only the missing ``(fingerprint, seed)`` cells.  Cached results are
 the stored value is exactly what
 :func:`~repro.simulation.experiment.extract_metrics` returns.
 
-Misses run in-process or on a :class:`WorkerPool`, whose workers send
-back each cell's KPI dictionary (about half a KiB pickled), never its
-history (hundreds of KiB).  There is one compute path for both callers:
-the service scheduler hands in the one pool it keeps for as long as it
-serves, shared by every job it runs at once, while a library call with
-``workers > 1`` opens a pool for that call alone and shuts it down
-before returning, so scripts never leak processes.  Either way the
-processes start on the first cell that needs them.
+Cells are laid out on the library's grid, and misses run on its one
+compute path (:func:`~repro.simulation.cells.compute_cells`):
+in-process or on a :class:`~repro.simulation.cells.WorkerPool`, whose
+workers send back each cell's KPI dictionary (about half a KiB
+pickled), never its history (hundreds of KiB).  The service scheduler
+hands in the one pool it keeps for as long as it serves, shared by
+every job it runs at once, while a call with ``workers > 1`` opens a
+pool for that call alone and shuts it down before returning, so
+scripts never leak processes.  Either way the processes start on the
+first cell that needs them.
 
 Because the cache is keyed per cell, interrupted work resumes for free:
 re-invoking a killed or extended sweep recomputes only the cells that
@@ -39,29 +41,24 @@ from __future__ import annotations
 import os
 import shutil
 import threading
-import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    CancelledError,
-    Future,
-    ProcessPoolExecutor,
-    wait,
-)
-
-from repro.errors import ConfigurationError, RunCancelled, WorkerCrashError
+from repro.errors import RunCancelled
 from repro.obs import REGISTRY, span
-from repro.simulation.experiment import (
-    ComparisonResult,
-    _picklable,
-    _run_metrics,
-    comparison_from_metrics,
+from repro.simulation.cells import (
+    _CANCEL_POLL_S,
+    RunnerFactory,
+    WorkerPool,
+    call_pool,
+    compute_cells,
     effective_workers,
 )
-from repro.simulation.runner import LongitudinalRunner
+from repro.simulation.experiment import (
+    ComparisonResult,
+    comparison_from_metrics,
+    grid,
+)
 from repro.simulation.scenario import Scenario
 from repro.simulation.sweep import SweepResult, sweep_from_metrics
 from repro.store.blobstore import BlobStore
@@ -88,101 +85,6 @@ _BYTES_SERVED = REGISTRY.counter(
     "cache_bytes_served_total",
     help="Compressed bytes read from the store to serve cached cells",
 )
-_POOL_REPLACEMENTS = REGISTRY.counter(
-    "store_pool_replacements_total",
-    help="Worker pools dropped after one of their processes died",
-)
-
-#: How often a pooled computation wakes to poll its cancel hook.
-_CANCEL_POLL_S = 0.05
-#: How long :meth:`WorkerPool.shutdown` waits to reap killed workers.
-_REAP_GRACE_S = 1.0
-
-
-class WorkerPool:
-    """A process pool created on first use and replaced after a crash.
-
-    When a worker process dies the executor is broken for every caller
-    with cells in it, and each of them raises
-    :class:`~repro.errors.WorkerCrashError`.  :meth:`discard` drops the
-    broken executor only while it is still the current one, so callers
-    that saw the same crash replace it once; the next :meth:`executor`
-    call starts a fresh one.  Used as a context manager, the pool shuts
-    down on exit.
-    """
-
-    def __init__(self, max_workers: int) -> None:
-        self.max_workers = max_workers
-        self._executor: Optional[ProcessPoolExecutor] = None
-        self._closed = False
-        self._lock = threading.Lock()
-
-    def executor(self) -> ProcessPoolExecutor:
-        """The current executor, started if there is none yet."""
-        with self._lock:
-            if self._closed:
-                raise WorkerCrashError("worker pool is shut down")
-            if self._executor is None:
-                # The platform's default start method (fork on Linux).
-                # KPIs no longer depend on the string-hash seed that
-                # forked workers share and spawned ones draw afresh
-                # (tests/test_integration_determinism.py), so bit-
-                # equality with in-process cells does not rest on it.
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self.max_workers
-                )
-            return self._executor
-
-    def discard(self, broken: ProcessPoolExecutor) -> None:
-        """Drop ``broken`` if it is still the current executor."""
-        with self._lock:
-            if self._executor is not broken:
-                return
-            self._executor = None
-        _POOL_REPLACEMENTS.inc()
-        broken.shutdown(wait=False, cancel_futures=True)
-
-    def shutdown(self, timeout: float = 5.0) -> None:
-        """Cancel queued cells, stop the workers and reap them.
-
-        Idle workers exit at once; a worker still busy after
-        ``timeout`` seconds is killed.  The call returns within
-        ``timeout`` plus a short grace period for reaping killed
-        workers.  No worker process outlives it, and later
-        :meth:`executor` calls raise.
-        """
-        with self._lock:
-            self._closed = True
-            executor, self._executor = self._executor, None
-        if executor is None:
-            return
-        deadline = time.monotonic() + timeout
-        # The executor forgets its processes and manager thread on
-        # shutdown, so take them first.  Both attributes are private;
-        # checked on CPython 3.9-3.13.  Without them the executor's own
-        # shutdown still stops idle workers, but cannot kill busy ones.
-        processes = list((getattr(executor, "_processes", None)
-                          or {}).values())
-        manager = getattr(executor, "_executor_manager_thread", None)
-        executor.shutdown(wait=False, cancel_futures=True)
-        for process in processes:
-            process.join(max(0.0, deadline - time.monotonic()))
-        for process in processes:
-            if process.is_alive():
-                process.kill()
-        for process in processes:
-            process.join(_REAP_GRACE_S)
-        if manager is not None:
-            manager.join(max(0.0, deadline - time.monotonic())
-                         + _REAP_GRACE_S)
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.shutdown()
-
-
 @dataclass(frozen=True)
 class CacheStats:
     """One snapshot of the store, for ``repro-sim cache stats``."""
@@ -212,9 +114,7 @@ class RunCache:
     def __init__(
         self,
         root: os.PathLike = DEFAULT_CACHE_DIR,
-        runner_factory: Optional[
-            Callable[[Scenario], LongitudinalRunner]
-        ] = None,
+        runner_factory: Optional[RunnerFactory] = None,
     ) -> None:
         self.root = os.fspath(root)
         self.blobs = BlobStore(self.root)
@@ -290,46 +190,54 @@ class RunCache:
         :class:`WorkerPool` (the scheduler's); without one,
         ``workers > 1`` opens a pool for this call only.
         """
-        if workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        # ``workers`` is taken at face value here: the library wrappers
-        # below clamp to the core count.
+        workers = effective_workers(workers)
         with span("store.fetch", cells=len(scenarios), workers=workers):
-            fingerprints = [scenario_fingerprint(s) for s in scenarios]
+            keys = [(scenario_fingerprint(s), s.seed) for s in scenarios]
             metrics: List[Optional[Dict[str, float]]] = (
                 [None] * len(scenarios)
             )
-            missing: List[int] = []
-            hit_pairs = []
-            for i, (scenario, fingerprint) in enumerate(
-                zip(scenarios, fingerprints)
-            ):
-                payload = self._load_cell(fingerprint, scenario.seed)
-                if payload is None:
-                    missing.append(i)
-                else:
-                    metrics[i] = payload
-                    hit_pairs.append((fingerprint, scenario.seed))
-                    if on_cell is not None:
-                        on_cell(i, True)
-            if hit_pairs:
-                self.index.record_hits(hit_pairs)
-                self._count(hits=len(hit_pairs))
-            if missing and pool is None and workers > 1:
-                with WorkerPool(min(workers, len(missing))) as own:
-                    self._resolve_missing(scenarios, fingerprints, metrics,
-                                          missing, own, on_cell,
+            absent = self._serve_stored(
+                [(key, [i]) for i, key in enumerate(keys)], metrics, on_cell
+            )
+            missing = [indices[0] for _, indices in absent]
+            if missing:
+                with call_pool(workers, len(missing), pool) as use:
+                    self._resolve_missing(scenarios, keys, metrics,
+                                          missing, use, on_cell,
                                           should_cancel)
-            elif missing:
-                self._resolve_missing(scenarios, fingerprints, metrics,
-                                      missing, pool, on_cell,
-                                      should_cancel)
         return metrics  # type: ignore[return-value]
+
+    def _serve_stored(
+        self,
+        cells: List[Tuple[Tuple[str, int], List[int]]],
+        metrics: List[Optional[Dict[str, float]]],
+        on_cell: Optional[Callable[[int, bool], None]],
+    ) -> List[Tuple[Tuple[str, int], List[int]]]:
+        """Serve each ``(key, indices)`` cell on disk as a hit.
+
+        Returns the cells that are not (absent, or their blob corrupt).
+        """
+        absent = []
+        served = []
+        for key, indices in cells:
+            payload = self._load_cell(*key)
+            if payload is None:
+                absent.append((key, indices))
+                continue
+            for i in indices:
+                metrics[i] = payload
+                if on_cell is not None:
+                    on_cell(i, True)
+            served.append(key)
+        if served:
+            self.index.record_hits(served)
+            self._count(hits=len(served))
+        return absent
 
     def _resolve_missing(
         self,
         scenarios: Sequence[Scenario],
-        fingerprints: List[str],
+        keys: List[Tuple[str, int]],
         metrics: List[Optional[Dict[str, float]]],
         missing: List[int],
         pool: Optional[WorkerPool],
@@ -346,6 +254,11 @@ class RunCache:
         hold, polling ``should_cancel``.  So two calls wanting the same
         cells in opposite orders cannot wait on each other.  A cell
         whose other flight failed is claimed again on the next round.
+
+        Each computed cell is stored the moment it lands, so work cut
+        short by a cancel or a worker death
+        (:class:`~repro.errors.WorkerCrashError`, which the scheduler
+        retries) resumes: cells stored before it are never recomputed.
         """
         remaining = missing
         while remaining:
@@ -353,7 +266,7 @@ class RunCache:
             held: Dict[Tuple[str, int], Tuple[threading.Event, List[int]]] = {}
             with self._inflight_lock:
                 for i in remaining:
-                    key = (fingerprints[i], scenarios[i].seed)
+                    key = keys[i]
                     if key in claims:  # duplicate cell inside this batch
                         claims[key].append(i)
                     elif key in held:
@@ -363,11 +276,30 @@ class RunCache:
                     else:
                         self._inflight[key] = threading.Event()
                         claims[key] = [i]
+
+            def store(i: int, computed: Dict[str, float]) -> None:
+                blob = self.blobs.put(computed)
+                self.index.record_store(*keys[i], blob,
+                                        scenario_summary(scenarios[i]))
+                # Serve the disk round-trip, not the in-memory dict, so a
+                # cold call returns exactly what every warm call will.
+                payload = self.blobs.get(blob, computed)
+                for j in claims[keys[i]]:
+                    metrics[j] = payload
+                    if on_cell is not None:
+                        on_cell(j, j != i)
+                self._count(misses=1)
+
             try:
-                if claims:
-                    self._compute_claimed(scenarios, fingerprints, metrics,
-                                          claims, pool, on_cell,
-                                          should_cancel)
+                # Double-check after claiming: another thread may have
+                # finished (and released) a cell since our first lookup,
+                # so serve what is on disk now as hits.
+                pending = [(indices[0], scenarios[indices[0]])
+                           for _, indices in self._serve_stored(
+                               list(claims.items()), metrics, on_cell)]
+                if pending:
+                    compute_cells(pending, self.runner_factory, store,
+                                  pool=pool, cancelled=should_cancel)
             finally:
                 with self._inflight_lock:
                     for key in claims:
@@ -406,141 +338,6 @@ class RunCache:
                             waits=len(waited_pairs))
         return failed
 
-    def _compute_claimed(
-        self,
-        scenarios: Sequence[Scenario],
-        fingerprints: List[str],
-        metrics: List[Optional[Dict[str, float]]],
-        claims: Dict[Tuple[str, int], List[int]],
-        pool: Optional[WorkerPool],
-        on_cell: Optional[Callable[[int, bool], None]],
-        should_cancel: Optional[Callable[[], bool]],
-    ) -> None:
-        """Run the claimed cells, persisting each as soon as it lands.
-
-        Per-cell persistence is what makes interrupted work resumable: a
-        sweep killed mid-grid keeps every cell that finished, whether
-        the runs were serial or pooled.  Cells run on ``pool`` when
-        there is one and they can be pickled; a worker-process death
-        surfaces as :class:`~repro.errors.WorkerCrashError` so callers
-        (the service scheduler) can retry; cells stored before the
-        crash are never recomputed.
-        """
-
-        def cancelled() -> bool:
-            return should_cancel is not None and should_cancel()
-
-        # Double-check after claiming: another thread may have finished
-        # (and released) a cell between our initial lookup and the
-        # claim, in which case it is already on disk — serve it as a
-        # hit instead of recomputing.  Keys stay in ``claims`` so the
-        # caller's finally still releases their events.
-        landed_pairs = []
-        to_compute = []
-        for key, indices in claims.items():
-            payload = self._load_cell(*key)
-            if payload is None:
-                to_compute.append(key)
-                continue
-            for j in indices:
-                metrics[j] = payload
-                if on_cell is not None:
-                    on_cell(j, True)
-            landed_pairs.append(key)
-        if landed_pairs:
-            self.index.record_hits(landed_pairs)
-            self._count(hits=len(landed_pairs))
-        if not to_compute:
-            return
-
-        def store(i: int, computed: Dict[str, float]) -> None:
-            blob = self.blobs.put(computed)
-            self.index.record_store(
-                fingerprints[i],
-                scenarios[i].seed,
-                blob,
-                scenario_summary(scenarios[i]),
-            )
-            # Serve the disk round-trip, not the in-memory dict, so a
-            # cold call returns exactly what every warm call will.
-            payload = self.blobs.get(blob, computed)
-            key = (fingerprints[i], scenarios[i].seed)
-            for j in claims[key]:
-                metrics[j] = payload
-                if on_cell is not None:
-                    on_cell(j, j != i)
-            self._count(misses=1)
-
-        pending = [(claims[key][0], scenarios[claims[key][0]])
-                   for key in to_compute]
-        if cancelled():
-            raise RunCancelled("cancelled before computing cells")
-        if pool is not None and _picklable(
-            ([s for _, s in pending], self.runner_factory)
-        ):
-            self._compute_pooled(pool, pending, store, cancelled)
-        else:
-            self._compute_serial(pending, store, cancelled)
-
-    def _compute_pooled(
-        self,
-        pool: WorkerPool,
-        pending: List[Tuple[int, Scenario]],
-        store: Callable[[int, Dict[str, float]], None],
-        cancelled: Callable[[], bool],
-    ) -> None:
-        """Ship pending cells to ``pool``, storing each as it lands.
-
-        The pool may be shared with other jobs.  However this call ends
-        — done, cancelled or crashed — it cancels only its own cells
-        still queued; cells already running finish in their workers and
-        their results are dropped.
-        """
-        executor = pool.executor()
-        futures: Dict[Future, int] = {}
-        try:
-            for i, scenario in pending:
-                future = executor.submit(
-                    _run_metrics, scenario, self.runner_factory
-                )
-                futures[future] = i
-            waiting = set(futures)
-            while waiting:
-                done, waiting = wait(waiting, timeout=_CANCEL_POLL_S,
-                                     return_when=FIRST_COMPLETED)
-                failure: Optional[Exception] = None
-                for future in done:
-                    try:
-                        computed = future.result()
-                    except Exception as exc:  # store the others first
-                        failure = failure or exc
-                        continue
-                    store(futures[future], computed)
-                if failure is not None:
-                    raise failure
-                if cancelled():
-                    raise RunCancelled("cancelled mid-computation")
-        except (BrokenExecutor, BrokenPipeError, EOFError) as exc:
-            pool.discard(executor)
-            raise WorkerCrashError(f"worker process died: {exc!r}") from exc
-        except CancelledError as exc:  # the pool is shutting down
-            raise WorkerCrashError("worker pool shut down") from exc
-        finally:
-            for future in futures:
-                future.cancel()
-
-    def _compute_serial(
-        self,
-        pending: List[Tuple[int, Scenario]],
-        store: Callable[[int, Dict[str, float]], None],
-        cancelled: Callable[[], bool],
-    ) -> None:
-        """Compute pending cells in-process, polling cancel between cells."""
-        for i, scenario in pending:
-            if cancelled():
-                raise RunCancelled("cancelled mid-computation")
-            store(i, _run_metrics(scenario, self.runner_factory))
-
     # -- experiment API ---------------------------------------------------
 
     def replicate(
@@ -550,10 +347,8 @@ class RunCache:
         workers: int = 1,
     ) -> List[Dict[str, float]]:
         """KPI dictionaries of ``scenario`` under each seed, memoized."""
-        if not seeds:
-            raise ConfigurationError("need at least one seed")
-        seeded = [scenario.with_seed(int(seed)) for seed in seeds]
-        return self.fetch_metrics(seeded, workers=effective_workers(workers))
+        cells = grid("replicate", (scenario,), seeds, Scenario.with_seed)
+        return self.fetch_metrics(cells.cells, workers=workers)
 
     def compare_scenarios(
         self,
@@ -563,20 +358,10 @@ class RunCache:
         workers: int = 1,
     ) -> ComparisonResult:
         """Memoized :func:`~repro.simulation.experiment.compare_scenarios`."""
-        if not seeds:
-            raise ConfigurationError("need at least one seed")
-        seeded = [a.with_seed(int(s)) for s in seeds] + [
-            b.with_seed(int(s)) for s in seeds
-        ]
-        metrics = self.fetch_metrics(seeded,
-                                     workers=effective_workers(workers))
-        return comparison_from_metrics(
-            a.name,
-            b.name,
-            seeds,
-            metrics[: len(seeds)],
-            metrics[len(seeds):],
-        )
+        cells = grid("compare", (a, b), seeds, Scenario.with_seed)
+        metrics = self.fetch_metrics(cells.cells, workers=workers)
+        return comparison_from_metrics(a.name, b.name, cells.seeds,
+                                       *cells.rows(metrics))
 
     def run_sweep(
         self,
@@ -593,27 +378,10 @@ class RunCache:
         with new parameter values or seeds, recomputes only the
         ``(value, seed)`` cells absent from the store.
         """
-        if not values:
-            raise ConfigurationError(
-                "sweep needs at least one parameter value"
-            )
-        if not seeds:
-            raise ConfigurationError("sweep needs at least one seed")
-        scenarios = [
-            factory(value, int(seed))
-            for value in values
-            for seed in seeds
-        ]
-        metrics = self.fetch_metrics(scenarios,
-                                     workers=effective_workers(workers))
-        per_point = len(seeds)
-        chunks = [
-            metrics[i * per_point : (i + 1) * per_point]
-            for i in range(len(values))
-        ]
-        return sweep_from_metrics(
-            parameter, values, chunks, label_fn=label_fn
-        )
+        cells = grid("sweep", values, seeds, factory)
+        metrics = self.fetch_metrics(cells.cells, workers=workers)
+        return sweep_from_metrics(parameter, values, cells.rows(metrics),
+                                  label_fn=label_fn)
 
     # -- maintenance ------------------------------------------------------
 

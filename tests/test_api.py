@@ -49,6 +49,26 @@ class TestExposure:
         }
         with pytest.raises(ModuleNotFoundError):
             import repro.service.server  # noqa: F401
+        # The package root re-exports a deliberate handful of names.
+        assert set(repro.__all__) == {
+            "BlobStore", "Consortium", "HackathonConfig", "HackathonEvent",
+            "LongitudinalRunner", "ReproError", "RngHub", "RunCache",
+            "Scenario", "__version__", "api", "baseline_timeline",
+            "build_framework", "compare_scenarios", "megamart2",
+            "megamart_timeline", "scenario_fingerprint", "small_consortium",
+        }
+        import repro.simulation
+
+        assert set(repro.simulation.__all__) == {
+            "ComparisonResult", "Engine", "Event", "LongitudinalRunner",
+            "MetricComparison", "PlenaryRecord", "PlenarySpec",
+            "ProjectHistory", "Scenario", "SweepPoint", "SweepResult",
+            "baseline_timeline", "compare_scenarios",
+            "comparison_from_metrics", "extract_metrics",
+            "hackathon_everywhere_timeline", "interleaved_timeline",
+            "megamart_timeline", "replicate", "run_sweep",
+            "sweep_from_metrics", "virtual_timeline",
+        }
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,9 @@ from repro.simulation.experiment import (
     effective_workers,
     extract_metrics,
     replicate,
+    replicate_metrics,
 )
+from repro.simulation.sweep import run_sweep
 from repro.simulation.scenario import (
     baseline_timeline,
     interleaved_timeline,
@@ -178,6 +180,34 @@ class TestParallelDeterminism:
 
         with pytest.raises(ConfigurationError):
             replicate(megamart_timeline(seed=0), [1], workers=0)
+
+    # On one core ``workers=2`` clamps to the serial path, where the
+    # flaky runner would end this process instead of a pool worker.
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 cores")
+    @pytest.mark.parametrize(
+        "call", ["replicate_metrics", "compare_scenarios", "run_sweep"])
+    def test_worker_death_in_pooled_call_raises_worker_crash(
+        self, tmp_path, call
+    ):
+        """A pooled library call maps a worker death the way the run
+        store does, and leaves no worker process behind."""
+        from repro.errors import WorkerCrashError
+        from repro.service.chaos import make_flaky_factory, pool_worker_pids
+
+        factory = make_flaky_factory(tmp_path / "chaos", max_crashes=1)
+        a, b = megamart_timeline(seed=0), baseline_timeline(seed=0)
+        calls = {
+            "replicate_metrics": lambda: replicate_metrics(
+                a, [1, 2, 3, 4], runner_factory=factory, workers=2),
+            "compare_scenarios": lambda: compare_scenarios(
+                a, b, [1, 2], runner_factory=factory, workers=2),
+            "run_sweep": lambda: run_sweep(
+                "arm", [a, b], lambda arm, seed: arm.with_seed(seed),
+                seeds=[1, 2], runner_factory=factory, workers=2),
+        }
+        with pytest.raises(WorkerCrashError):
+            calls[call]()
+        assert pool_worker_pids() == []
 
 
 # ---------------------------------------------------------------------------
