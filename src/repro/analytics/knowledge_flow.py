@@ -14,6 +14,7 @@ from repro.analytics.inequality import gini
 from repro.cognition.knowledge import KnowledgeVector
 from repro.consortium.consortium import Consortium
 from repro.errors import ConfigurationError
+from repro.numeric import ordered_sum
 
 __all__ = [
     "org_knowledge_totals",
@@ -26,7 +27,7 @@ def org_knowledge_totals(consortium: Consortium) -> Dict[str, float]:
     """Total knowledge (sum of member proficiencies) per organisation."""
     totals: Dict[str, float] = {}
     for org in consortium.organizations:
-        totals[org.org_id] = sum(
+        totals[org.org_id] = ordered_sum(
             m.knowledge.total() for m in consortium.members_of(org.org_id)
         )
     return totals
@@ -50,7 +51,7 @@ class FlowSnapshot:
     totals: Dict[str, float]
 
     def consortium_total(self) -> float:
-        return sum(self.totals.values())
+        return ordered_sum(self.totals.values())
 
 
 class KnowledgeFlowTracker:

@@ -14,6 +14,7 @@ from typing import Iterable, List, Sequence, Tuple
 import numpy as np
 
 from repro.cognition.knowledge import KnowledgeVector
+from repro.numeric import ordered_sum
 
 __all__ = [
     "cognitive_distance",
@@ -114,7 +115,8 @@ def mean_distance_to_group(
     """Mean cognitive distance from ``vector`` to each member of ``group``."""
     if not group:
         return 0.0
-    return sum(cognitive_distance(vector, g) for g in group) / len(group)
+    total = ordered_sum(cognitive_distance(vector, g) for g in group)
+    return total / len(group)
 
 
 def _check_unit(value: float, name: str) -> None:

@@ -23,6 +23,8 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro.numeric import ordered_sum
+
 __all__ = [
     "KnowledgeVector",
     "DomainRegistry",
@@ -266,7 +268,7 @@ class KnowledgeVector:
         req = sorted(required)
         if not req:
             return 0.0
-        return sum(self[d] for d in req) / len(req)
+        return ordered_sum(self[d] for d in req) / len(req)
 
     def updated(self, domain: str, level: float) -> "KnowledgeVector":
         """Return a copy with ``domain`` set to ``level``."""

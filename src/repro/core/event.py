@@ -44,6 +44,7 @@ from repro.framework.catalog import FrameworkModel
 from repro.framework.integration import AdoptionState
 from repro.meetings.agenda import AgendaItem
 from repro.network.dynamics import Interaction
+from repro.numeric import ordered_sum
 from repro.rng import RngHub
 
 __all__ = ["HackathonConfig", "HackathonEvent"]
@@ -274,7 +275,7 @@ class HackathonEvent:
             presenter = max(
                 team.members, key=lambda m: (m.presentation_skill, m.member_id)
             )
-            completion = min(1.0, sum(s.progress for s in sessions))
+            completion = min(1.0, ordered_sum(s.progress for s in sessions))
             pitch_quality = float(
                 np.clip(
                     0.55 * presenter.presentation_skill
@@ -291,7 +292,8 @@ class HackathonEvent:
             )
             tools = [self.framework.tool(t) for t in team.tool_ids]
             mean_trl = (
-                sum(t.trl for t in tools) / len(tools) if tools else 3.0
+                ordered_sum(t.trl for t in tools) / len(tools)
+                if tools else 3.0
             )
             case_id = team.challenge.case_id
             novel = bool(tools) and all(

@@ -18,6 +18,7 @@ from repro.core.teams import Team
 from repro.errors import ConfigurationError
 from repro.evaluation.voting import ChallengeScore, Criterion
 from repro.network.dynamics import Interaction
+from repro.numeric import ordered_sum
 
 __all__ = ["Demo", "Pitch", "HackathonOutcome", "build_demo"]
 
@@ -110,7 +111,7 @@ def build_demo(
             f"cannot build a demo for {team.challenge.challenge_id} "
             "without any work session"
         )
-    completion = min(1.0, sum(s.progress for s in sessions))
+    completion = min(1.0, ordered_sum(s.progress for s in sessions))
     diversity_value = sessions[-1].diversity_value
     coverage = sessions[-1].coverage
     innovation = min(
@@ -164,7 +165,7 @@ class HackathonOutcome:
     def mean_completion(self) -> float:
         if not self.demos:
             return 0.0
-        return sum(d.completion for d in self.demos) / len(self.demos)
+        return ordered_sum(d.completion for d in self.demos) / len(self.demos)
 
     def score_table(self) -> List[Tuple[str, Dict[str, float]]]:
         """Per-challenge criterion means — the Fig. 2 data."""

@@ -19,6 +19,7 @@ from typing import List, Sequence
 from repro.consortium.member import Member
 from repro.core.outcomes import Demo
 from repro.errors import ConfigurationError
+from repro.numeric import ordered_sum
 
 __all__ = ["RiskAssessment", "BurnoutModel", "prototype_warnings", "assess_risks"]
 
@@ -73,7 +74,7 @@ class BurnoutModel:
     def mean_energy(members: Sequence[Member]) -> float:
         if not members:
             return 0.0
-        return sum(m.energy for m in members) / len(members)
+        return ordered_sum(m.energy for m in members) / len(members)
 
 
 def prototype_warnings(

@@ -23,6 +23,7 @@ from repro.cognition.learning import LearningModel
 from repro.core.teams import Team
 from repro.errors import ConfigurationError
 from repro.network.dynamics import Interaction
+from repro.numeric import ordered_sum
 from repro.rng import RngHub
 
 __all__ = ["SessionResult", "WorkSession"]
@@ -167,7 +168,7 @@ class WorkSession:
         for hour in range(int(math.ceil(hours))):
             slice_hours = min(1.0, hours - hour)
             fatigue = 0.5 ** (hour / halflife)
-            energy = sum(energies) / count
+            energy = ordered_sum(energies) / count
             progress += (
                 prefix * fatigue * energy * difficulty_factor
             ) * slice_hours
@@ -196,6 +197,6 @@ class WorkSession:
             progress=progress,
             coverage=coverage,
             diversity_value=diversity_value,
-            mean_energy_after=sum(energies) / count,
+            mean_energy_after=ordered_sum(energies) / count,
             interactions=interactions,
         )

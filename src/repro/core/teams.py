@@ -26,6 +26,7 @@ from repro.consortium.member import Member
 from repro.core.challenge import Challenge
 from repro.core.subscription import SubscriptionBook
 from repro.errors import ConfigurationError
+from repro.numeric import ordered_sum
 from repro.rng import RngHub
 
 __all__ = [
@@ -87,7 +88,7 @@ class Team:
         return team_diversity([m.knowledge for m in self.members])
 
     def mean_energy(self) -> float:
-        return sum(m.energy for m in self.members) / len(self.members)
+        return ordered_sum(m.energy for m in self.members) / len(self.members)
 
 
 class TeamFormationPolicy(abc.ABC):

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Tuple
 
 from repro.errors import UnknownCountryError
+from repro.numeric import ordered_sum
 
 __all__ = [
     "Dimension",
@@ -172,8 +173,9 @@ def dimension_variance(countries: Iterable[str] = MEGAMART_COUNTRIES) -> Dict[
     variances: Dict[Dimension, float] = {}
     for dim in Dimension:
         scores = [p.score(dim) for p in profiles]
-        mean = sum(scores) / len(scores)
-        variances[dim] = sum((s - mean) ** 2 for s in scores) / (len(scores) - 1)
+        mean = ordered_sum(scores) / len(scores)
+        squares = ordered_sum((s - mean) ** 2 for s in scores)
+        variances[dim] = squares / (len(scores) - 1)
     return variances
 
 

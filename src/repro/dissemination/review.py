@@ -21,6 +21,7 @@ import numpy as np
 from repro.core.prerequisites import PrerequisiteReport
 from repro.dissemination.showcase import Showcase
 from repro.errors import ConfigurationError
+from repro.numeric import ordered_sum
 from repro.rng import RngHub
 
 __all__ = ["ReviewerScore", "ReviewVerdict", "ReviewMeeting"]
@@ -105,7 +106,9 @@ class ReviewMeeting:
         """
         if not showcases:
             raise ConfigurationError("a review needs at least one showcase")
-        mean_quality = sum(s.quality for s in showcases) / len(showcases)
+        mean_quality = (
+            ordered_sum(s.quality for s in showcases) / len(showcases)
+        )
         prereq_health = (
             sum(1 for r in prerequisite_reports if r.satisfied)
             / len(prerequisite_reports)
@@ -135,6 +138,10 @@ class ReviewMeeting:
             )
         return ReviewVerdict(
             scores=scores,
-            mean_results=sum(s.results_score for s in scores) / len(scores),
-            mean_approach=sum(s.approach_score for s in scores) / len(scores),
+            mean_results=(
+                ordered_sum(s.results_score for s in scores) / len(scores)
+            ),
+            mean_approach=(
+                ordered_sum(s.approach_score for s in scores) / len(scores)
+            ),
         )

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
+from repro.numeric import ordered_sum
 from repro.rng import RngHub
 
 __all__ = ["Comment", "SentimentLexicon", "CommentGenerator", "sentiment_histogram"]
@@ -90,7 +91,7 @@ class SentimentLexicon:
         matched = [self._polarity[w] for w in words if w in self._polarity]
         if not matched:
             return 0.0
-        return sum(matched) / len(matched)
+        return ordered_sum(matched) / len(matched)
 
     def label(self, text: str, threshold: float = 0.15) -> str:
         """Classify a text as ``positive``, ``neutral`` or ``negative``."""

@@ -16,6 +16,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.numeric import ordered_sum
 from repro.rng import RngHub
 
 __all__ = ["LikertItem", "QuestionnaireResult", "Questionnaire"]
@@ -68,7 +69,7 @@ class QuestionnaireResult:
                 f"no responses for item {item_id!r}"
                 + (f" in group {group!r}" if group else "")
             )
-        return sum(scores) / len(scores)
+        return ordered_sum(scores) / len(scores)
 
     def agreement_fraction(
         self, item_id: str, group: Optional[str] = None

@@ -24,6 +24,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.meetings.engagement import EngagementRecord
 from repro.meetings.plenary import MeetingResult
+from repro.numeric import ordered_sum
 from repro.rng import RngHub
 
 __all__ = ["SurveyOutcome", "PlenarySurvey"]
@@ -136,7 +137,9 @@ class PlenarySurvey:
                 pos += 1
                 votes[titles[idx]] += 1
                 weights[idx] = 0.0
-            mean_engagement = sum(r.engagement for r in records) / count
+            mean_engagement = (
+                ordered_sum(r.engagement for r in records) / count
+            )
             peak_engagement = max(r.engagement for r in records)
             p_yes = self._opinion_probability(
                 0.5 * mean_engagement + 0.5 * peak_engagement

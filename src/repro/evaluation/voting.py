@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import VotingError
+from repro.numeric import ordered_sum
 
 __all__ = ["Criterion", "Ballot", "ChallengeScore", "VotingSystem", "MAX_SCORE"]
 
@@ -91,7 +92,7 @@ class ChallengeScore:
     @property
     def overall(self) -> float:
         """Unweighted mean over the four criteria."""
-        return sum(self.means.values()) / len(self.means)
+        return ordered_sum(self.means.values()) / len(self.means)
 
     def profile(self) -> List[Tuple[str, float]]:
         """(criterion, mean) rows in canonical order — the Fig. 2 data."""
@@ -153,7 +154,7 @@ class VotingSystem:
             means = {c: 0.0 for c in Criterion}
         else:
             means = {
-                c: sum(b.scores[c] for b in ballots) / len(ballots)
+                c: ordered_sum(b.scores[c] for b in ballots) / len(ballots)
                 for c in Criterion
             }
         return ChallengeScore(

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.errors import ConfigurationError
+from repro.numeric import ordered_sum
 
 __all__ = [
     "SessionFormat",
@@ -113,7 +114,7 @@ class Agenda:
         return iter(self._items)
 
     def total_hours(self) -> float:
-        return sum(item.hours for item in self._items)
+        return ordered_sum(item.hours for item in self._items)
 
     def hours_by_format(self) -> dict:
         out = {fmt: 0.0 for fmt in SessionFormat}
@@ -127,7 +128,7 @@ class Agenda:
         This is the "balance of managerial and technical staff across
         meeting days" dial the organisers turned after Rome.
         """
-        technical = sum(
+        technical = ordered_sum(
             item.hours for item in self._items if item.format.is_technical
         )
         return technical / self.total_hours()

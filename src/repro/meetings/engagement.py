@@ -17,6 +17,7 @@ import numpy as np
 from repro.consortium.member import Member
 from repro.errors import ConfigurationError
 from repro.meetings.agenda import AgendaItem, SessionFormat
+from repro.numeric import ordered_sum
 from repro.rng import RngHub
 
 __all__ = ["EngagementModel", "EngagementRecord"]
@@ -155,7 +156,7 @@ class EngagementModel:
         sums: Dict[str, List[float]] = {}
         for rec in records:
             sums.setdefault(rec.item_title, []).append(rec.engagement)
-        return {title: sum(v) / len(v) for title, v in sums.items()}
+        return {title: ordered_sum(v) / len(v) for title, v in sums.items()}
 
     @staticmethod
     def by_member(records: List[EngagementRecord]) -> Dict[str, float]:
@@ -163,4 +164,4 @@ class EngagementModel:
         sums: Dict[str, List[float]] = {}
         for rec in records:
             sums.setdefault(rec.member_id, []).append(rec.engagement)
-        return {mid: sum(v) / len(v) for mid, v in sums.items()}
+        return {mid: ordered_sum(v) / len(v) for mid, v in sums.items()}

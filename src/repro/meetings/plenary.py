@@ -32,6 +32,7 @@ from repro.meetings.engagement import EngagementModel, EngagementRecord
 from repro.meetings.mode import MODE_EFFECTS, MeetingMode, ModeEffects
 from repro.network.dynamics import Interaction, TieDynamics
 from repro.network.graph import CollaborationNetwork
+from repro.numeric import ordered_sum
 from repro.rng import RngHub
 
 __all__ = ["MeetingResult", "MeetingSession", "PlenaryMeeting", "HackathonHandler"]
@@ -77,9 +78,8 @@ class MeetingResult:
     def mean_engagement(self) -> float:
         if not self.engagement_records:
             return 0.0
-        return sum(r.engagement for r in self.engagement_records) / len(
-            self.engagement_records
-        )
+        records = self.engagement_records
+        return ordered_sum(r.engagement for r in records) / len(records)
 
 
 class MeetingSession:
@@ -359,8 +359,8 @@ class PlenaryMeeting:
         rows = KnowledgeVector.stack(
             m.knowledge for m in members.values()
         ).tolist()
-        norms = [math.sqrt(sum(x * x for x in row)) for row in rows]
-        start_total = sum(map(sum, rows))
+        norms = [math.sqrt(ordered_sum(x * x for x in row)) for row in rows]
+        start_total = ordered_sum(map(ordered_sum, rows))
 
         learning = self.learning
         learning_value = learning.learning_value
@@ -432,7 +432,9 @@ class PlenaryMeeting:
 
         # Absorption only ever raises proficiencies, so the item's total
         # knowledge gain is the matrix-sum delta.
-        result.knowledge_transferred += sum(map(sum, rows)) - start_total
+        result.knowledge_transferred += (
+            ordered_sum(map(ordered_sum, rows)) - start_total
+        )
         for mid, i in index.items():
             members[mid].knowledge = KnowledgeVector._from_array(
                 np.array(rows[i])

@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.network.incremental import IncrementalMetrics
+from repro.numeric import ordered_sum
 
 if TYPE_CHECKING:
     import networkx as nx
@@ -246,7 +247,7 @@ class CollaborationNetwork:
         return out
 
     def total_strength(self) -> float:
-        return sum(
+        return ordered_sum(
             data["weight"]
             for a, nbrs in self._adj.items()
             for b, data in nbrs.items()

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Set
 
 from repro.network.graph import CollaborationNetwork
+from repro.numeric import ordered_sum
 
 if TYPE_CHECKING:
     import networkx as nx
@@ -98,7 +99,7 @@ def compute_metrics(network: CollaborationNetwork) -> NetworkMetrics:
         components=components,
         largest_component_fraction=(largest / n) if n else 0.0,
         mean_tie_strength=(
-            sum(w for _, _, w in ties) / len(ties) if ties else 0.0
+            ordered_sum(w for _, _, w in ties) / len(ties) if ties else 0.0
         ),
         inter_org_fraction=(len(inter) / len(ties)) if ties else 0.0,
         clustering=(tracker.clustering_sum(member_ids) / n) if n else 0.0,

@@ -21,6 +21,7 @@ from repro.cognition.knowledge import KnowledgeVector
 from repro.consortium.consortium import Consortium
 from repro.errors import ConfigurationError
 from repro.network.graph import CollaborationNetwork
+from repro.numeric import ordered_sum
 
 __all__ = ["Deliverable", "WorkPackage", "WorkPlan"]
 
@@ -256,7 +257,7 @@ class WorkPlan:
         ]
         if not due:
             return 0.0
-        return sum(d.delay(as_of_month) for d in due) / len(due)
+        return ordered_sum(d.delay(as_of_month) for d in due) / len(due)
 
     def status_rows(
         self, as_of_month: float

@@ -298,25 +298,22 @@ class AsyncReproServiceServer:
         self, writer: asyncio.StreamWriter, response: Response,
         keep_alive: bool = True,
     ) -> None:
-        writer.write(_status_line(response.status))
-        writer.write(
+        head = [
+            _status_line(response.status),
             f"Content-Type: {response.content_type}\r\n"
-            f"Content-Length: {len(response.body)}\r\n".encode("ascii")
-        )
+            f"Content-Length: {len(response.body)}\r\n".encode("ascii"),
+        ]
         for name, value in response.headers:
-            writer.write(f"{name}: {value}\r\n".encode("latin-1"))
-        writer.write(
-            b"Connection: keep-alive\r\n\r\n" if keep_alive
-            else b"Connection: close\r\n\r\n"
-        )
-        writer.write(response.body)
+            head.append(f"{name}: {value}\r\n".encode("latin-1"))
+        head.append(b"Connection: keep-alive\r\n\r\n" if keep_alive
+                    else b"Connection: close\r\n\r\n")
+        head.append(response.body)
+        writer.write(b"".join(head))  # one send per response
         await writer.drain()
 
     @staticmethod
-    def _chunk(writer: asyncio.StreamWriter, payload: bytes) -> None:
-        writer.write(f"{len(payload):x}\r\n".encode("ascii"))
-        writer.write(payload)
-        writer.write(b"\r\n")
+    def _chunk(payload: bytes) -> bytes:
+        return b"%x\r\n%s\r\n" % (len(payload), payload)
 
     async def _write_stream(
         self, writer: asyncio.StreamWriter, handle: StreamHandle
@@ -325,15 +322,16 @@ class AsyncReproServiceServer:
 
         No thread blocks while the stream idles: the scheduler's
         appends set ``wakeup`` through ``call_soon_threadsafe``, and
-        chunked encoding lets the connection outlive the stream.
+        chunked encoding lets the connection outlive the stream.  Each
+        snapshot of the log goes out in one write, one chunk per event.
         """
-        writer.write(_status_line(200))
-        writer.write(
+        out = [
+            _status_line(200),
             f"Content-Type: {handle.content_type}\r\n"
             "Cache-Control: no-cache\r\n"
             "Transfer-Encoding: chunked\r\n"
-            "Connection: keep-alive\r\n\r\n".encode("ascii")
-        )
+            "Connection: keep-alive\r\n\r\n".encode("ascii"),
+        ]
         encode = encode_sse if handle.format == "sse" else encode_jsonl
         loop = asyncio.get_running_loop()
         wakeup = asyncio.Event()
@@ -346,22 +344,25 @@ class AsyncReproServiceServer:
                 events, closed = handle.log.snapshot(after)
                 for event in events:
                     after = event["seq"]
-                    STREAM_EVENTS.inc()
-                    self._chunk(writer, encode(event))
+                    out.append(self._chunk(encode(event)))
                 if events:
+                    STREAM_EVENTS.inc(len(events))
+                if closed:
+                    out.append(self._chunk(b""))  # terminating 0-chunk
+                if out:
+                    writer.write(b"".join(out))
+                    out = []
                     await writer.drain()
                 if closed:
-                    self._chunk(writer, b"")  # terminating 0-chunk
-                    await writer.drain()
                     return
                 if not events:
                     try:
                         await asyncio.wait_for(wakeup.wait(),
                                                timeout=_HEARTBEAT_S)
                     except asyncio.TimeoutError:
-                        self._chunk(writer,
-                                    heartbeat_frame(handle.format))
-                        await writer.drain()
+                        out.append(
+                            self._chunk(heartbeat_frame(handle.format))
+                        )
         finally:
             handle.log.unregister_async(loop, wakeup)
             _ASYNC_STREAMS.inc(-1.0)

@@ -36,7 +36,11 @@ from repro.simulation.experiment import (
 )
 from repro.simulation.scenario import Scenario
 from repro.simulation.sweep import SweepResult, sweep_from_metrics
-from repro.store.fingerprint import canonical_json, scenario_fingerprint
+from repro.store.fingerprint import (
+    canonical_json,
+    scenario_fingerprint,
+    seeded,
+)
 
 __all__ = [
     "CATALOG",
@@ -185,8 +189,7 @@ def _compare_plan(params: Dict[str, Any]) -> JobPlan:
     scenario_a = resolve_scenario(params.get("a", "hackathon"))
     scenario_b = resolve_scenario(params.get("b", "traditional"))
     seeds = resolve_seeds(params.get("seeds", 3))
-    cells = grid("compare", (scenario_a, scenario_b), seeds,
-                 Scenario.with_seed)
+    cells = grid("compare", (scenario_a, scenario_b), seeds, seeded)
     names = {"name_a": scenario_a.name, "name_b": scenario_b.name}
     return _plan(cells, names, lambda rows: {
         **names, "seeds": seeds, "metrics_a": rows[0], "metrics_b": rows[1],
@@ -214,7 +217,7 @@ def _replicate_plan(params: Dict[str, Any]) -> JobPlan:
     _require(params, ("scenario", "seeds"))
     scenario = resolve_scenario(params.get("scenario", "hackathon"))
     seeds = resolve_seeds(params.get("seeds", 3))
-    cells = grid("replicate", (scenario,), seeds, Scenario.with_seed)
+    cells = grid("replicate", (scenario,), seeds, seeded)
     return _plan(cells, {"name": scenario.name}, lambda rows: {
         "scenario": scenario.name, "seeds": seeds, "metrics": rows[0],
     })

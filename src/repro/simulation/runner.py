@@ -53,6 +53,7 @@ from repro.meetings.plenary import MeetingResult, PlenaryMeeting
 from repro.cognition.learning import LearningModel
 from repro.network.dynamics import TieDynamics
 from repro.network.graph import CollaborationNetwork
+from repro.numeric import ordered_sum
 from repro.project.builder import build_workplan
 from repro.project.workpackages import WorkPlan
 from repro.network.metrics import NetworkMetrics, compute_metrics
@@ -499,7 +500,7 @@ class LongitudinalRunner:
         for rec in result.engagement_records:
             per_member.setdefault(rec.member_id, []).append(rec.engagement)
         dispositions = {
-            mid: 0.5 * (sum(vals) / len(vals)) + 0.5 * max(vals)
+            mid: 0.5 * (ordered_sum(vals) / len(vals)) + 0.5 * max(vals)
             for mid, vals in per_member.items()
         }
         groups = {
@@ -532,7 +533,8 @@ class LongitudinalRunner:
                     )
             if per_member:
                 return {
-                    mid: sum(v) / len(v) for mid, v in per_member.items()
+                    mid: ordered_sum(v) / len(v)
+                    for mid, v in per_member.items()
                 }
         return result.engagement_by_member()
 
@@ -547,7 +549,7 @@ class LongitudinalRunner:
         history.final_provider_owner_ties = self._provider_owner_tie_count()
         records = history.records
         history.totals = {
-            "knowledge_transferred": sum(
+            "knowledge_transferred": ordered_sum(
                 r.meeting.knowledge_transferred for r in records
             ),
             "new_ties": sum(len(r.meeting.new_ties) for r in records),
@@ -570,7 +572,8 @@ class LongitudinalRunner:
             ),
             "final_provider_owner_ties": history.final_provider_owner_ties,
             "mean_meeting_engagement": (
-                sum(r.meeting.mean_engagement() for r in records) / len(records)
+                ordered_sum(r.meeting.mean_engagement() for r in records)
+                / len(records)
                 if records
                 else 0.0
             ),

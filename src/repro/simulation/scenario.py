@@ -25,6 +25,11 @@ __all__ = [
     "hackathon_everywhere_timeline",
 ]
 
+#: Instance attribute (not a dataclass field, so outside ``==``, ``hash``,
+#: ``asdict`` and ``replace``) where the store keeps a scenario's
+#: fingerprint once computed.
+FINGERPRINT_ATTR = "_fingerprint"
+
 
 @dataclass(frozen=True)
 class PlenarySpec:
@@ -177,8 +182,24 @@ class Scenario:
         return max(explicit, last) if explicit is not None else last
 
     def with_seed(self, seed: int) -> "Scenario":
-        """Copy of this scenario under a different master seed."""
-        return replace(self, seed=seed)
+        """Copy of this scenario under a different master seed.
+
+        The seed is not part of the store fingerprint, so the copy keeps
+        the fingerprint :func:`~repro.store.fingerprint.scenario_fingerprint`
+        stored on this instance, if any.  No other copy carries it.
+        """
+        copy = replace(self, seed=seed)
+        stored = self.__dict__.get(FINGERPRINT_ATTR)
+        if stored is not None:
+            object.__setattr__(copy, FINGERPRINT_ATTR, stored)
+        return copy
+
+    def __getstate__(self) -> dict:
+        # Pickles and copy.copy/deepcopy carry the fields only, never a
+        # stored fingerprint.
+        state = dict(self.__dict__)
+        state.pop(FINGERPRINT_ATTR, None)
+        return state
 
     def hackathon_count(self) -> int:
         return sum(1 for p in self.plenaries if p.is_hackathon)

@@ -9,7 +9,12 @@ on the same key are safe (last rename wins, all renames carry identical
 bytes) and a crashed writer never leaves a half-written object behind.
 
 Reads verify the content hash, so a corrupted or truncated object is
-indistinguishable from an absent one — callers just recompute.
+indistinguishable from an absent one — callers just recompute.  Every
+read still reads the file, but a store remembers the last
+:data:`_MEMO_ENTRIES` flat payloads it verified together with their
+compressed bytes: when the bytes read equal the remembered ones, the
+read skips gunzip, hashing and JSON decoding.  Bytes that differ take
+the full path, so a forged object is still caught.
 """
 
 from __future__ import annotations
@@ -19,10 +24,11 @@ import hashlib
 import json
 import os
 import tempfile
+import threading
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Dict, Iterable, Iterator, Tuple
 
 from repro.errors import ConfigurationError
 from repro.obs import REGISTRY
@@ -31,6 +37,12 @@ from repro.store.fingerprint import canonical_json
 __all__ = ["BlobStats", "BlobStore"]
 
 _TMP_PREFIX = ".tmp-"
+
+#: Verified payloads one store remembers (about 2 KiB each for a KPI
+#: dictionary); the oldest is dropped first.
+_MEMO_ENTRIES = 1024
+
+_SCALARS = (str, int, float, bool, type(None))
 
 _READS = REGISTRY.counter(
     "store_blob_reads_total",
@@ -73,14 +85,11 @@ class BlobStore:
         self.root = Path(root)
         self.objects_dir = self.root / "objects"
         self.objects_dir.mkdir(parents=True, exist_ok=True)
+        # key -> (compressed bytes, payload) of verified flat mappings.
+        self._memo: Dict[str, Tuple[bytes, Dict[str, Any]]] = {}
+        self._memo_lock = threading.Lock()
 
     # -- addressing -------------------------------------------------------
-
-    @staticmethod
-    def key_for(payload: Any) -> str:
-        """The content key ``put`` would assign to ``payload``."""
-        data = canonical_json(payload).encode("ascii")
-        return hashlib.sha256(data).hexdigest()
 
     def _path(self, key: str) -> Path:
         if len(key) < 3 or not all(c in "0123456789abcdef" for c in key):
@@ -123,8 +132,16 @@ class BlobStore:
         path = self._path(key)
         try:
             raw = path.read_bytes()
+        except OSError:
+            return default, 0
+        known = self._memo.get(key)
+        if known is not None and known[0] == raw:
+            _READS.inc()
+            _READ_BYTES.inc(len(raw))
+            return dict(known[1]), len(raw)
+        try:
             data = gzip.decompress(raw)
-        except (OSError, EOFError, gzip.BadGzipFile, zlib.error):
+        except (OSError, EOFError, zlib.error):
             return default, 0
         _READS.inc()
         _READ_BYTES.inc(len(raw))
@@ -132,9 +149,22 @@ class BlobStore:
             _VERIFY_FAILURES.inc()
             return default, 0
         try:
-            return json.loads(data.decode("ascii")), len(raw)
+            payload = json.loads(data.decode("ascii"))
         except (UnicodeDecodeError, json.JSONDecodeError):
             return default, 0
+        if isinstance(payload, dict) and all(
+            isinstance(value, _SCALARS) for value in payload.values()
+        ):
+            self._remember(key, raw, dict(payload))
+        return payload, len(raw)
+
+    def _remember(self, key: str, raw: bytes,
+                  payload: Dict[str, Any]) -> None:
+        with self._memo_lock:
+            self._memo.pop(key, None)
+            if len(self._memo) >= _MEMO_ENTRIES:
+                del self._memo[next(iter(self._memo))]
+            self._memo[key] = (raw, payload)
 
     def has(self, key: str) -> bool:
         return self._path(key).exists()

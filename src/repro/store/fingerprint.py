@@ -10,6 +10,12 @@ must change it.
 The fingerprint deliberately **excludes the seed** — the store's unit of
 work is ``(fingerprint, seed)``, so one fingerprint indexes the whole
 replicate family of a scenario.
+
+A fingerprint is computed once per scenario *instance*: it is stored on
+the frozen object and carried to its :meth:`~Scenario.with_seed`
+copies, so a grid fingerprints each of its points, not each of its
+cells.  It is never looked up by scenario equality: ``4`` and ``4.0``
+hours compare equal but spell different canonical JSON.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import json
 from dataclasses import asdict
 from typing import Any, Dict, Mapping
 
-from repro.simulation.scenario import Scenario
+from repro.simulation.scenario import FINGERPRINT_ATTR, Scenario
 
 __all__ = [
     "canonical_json",
@@ -68,8 +74,28 @@ def scenario_payload(scenario: Scenario) -> Dict[str, Any]:
 
 
 def scenario_fingerprint(scenario: Scenario) -> str:
-    """Stable content hash identifying a scenario across processes."""
-    return config_fingerprint(scenario_payload(scenario))
+    """Stable content hash identifying a scenario across processes.
+
+    The first call stores ``(model version, fingerprint)`` on the
+    instance; later calls under the same model version return it.
+    """
+    version = _model_version()
+    stored = scenario.__dict__.get(FINGERPRINT_ATTR)
+    if stored is not None and stored[0] == version:
+        return stored[1]
+    fingerprint = config_fingerprint(scenario_payload(scenario))
+    object.__setattr__(scenario, FINGERPRINT_ATTR, (version, fingerprint))
+    return fingerprint
+
+
+def seeded(scenario: Scenario, seed: int) -> Scenario:
+    """``scenario.with_seed(seed)``, fingerprinting ``scenario`` first.
+
+    The copy carries the stored fingerprint, so a grid built with this
+    as its ``make`` hashes each point once however many seeds it has.
+    """
+    scenario_fingerprint(scenario)
+    return scenario.with_seed(seed)
 
 
 def scenario_summary(scenario: Scenario) -> Dict[str, Any]:

@@ -62,7 +62,11 @@ from repro.simulation.experiment import (
 from repro.simulation.scenario import Scenario
 from repro.simulation.sweep import SweepResult, sweep_from_metrics
 from repro.store.blobstore import BlobStore
-from repro.store.fingerprint import scenario_fingerprint, scenario_summary
+from repro.store.fingerprint import (
+    scenario_fingerprint,
+    scenario_summary,
+    seeded,
+)
 from repro.store.index import RunIndex
 
 __all__ = ["CacheStats", "RunCache", "WorkerPool"]
@@ -347,7 +351,7 @@ class RunCache:
         workers: int = 1,
     ) -> List[Dict[str, float]]:
         """KPI dictionaries of ``scenario`` under each seed, memoized."""
-        cells = grid("replicate", (scenario,), seeds, Scenario.with_seed)
+        cells = grid("replicate", (scenario,), seeds, seeded)
         return self.fetch_metrics(cells.cells, workers=workers)
 
     def compare_scenarios(
@@ -358,7 +362,7 @@ class RunCache:
         workers: int = 1,
     ) -> ComparisonResult:
         """Memoized :func:`~repro.simulation.experiment.compare_scenarios`."""
-        cells = grid("compare", (a, b), seeds, Scenario.with_seed)
+        cells = grid("compare", (a, b), seeds, seeded)
         metrics = self.fetch_metrics(cells.cells, workers=workers)
         return comparison_from_metrics(a.name, b.name, cells.seeds,
                                        *cells.rows(metrics))

@@ -110,6 +110,74 @@ class TestLifecycle:
         assert stats["session_misses"] >= 1
 
 
+def _port(client):
+    return int(client.base_url.rsplit(":", 1)[1])
+
+
+def _read_until(sock, done):
+    received = b""
+    while not done(received):
+        data = sock.recv(65536)
+        if not data:
+            break
+        received += data
+    return received
+
+
+class TestWireBytes:
+    """What clients parse, pinned byte for byte at the socket."""
+
+    def test_json_response_bytes(self, service):
+        body = (b'{"error": {"code": "method_not_allowed", "message": '
+                b'"method DELETE not allowed here", "detail": '
+                b'{"allowed": ["GET"]}}}')
+        expected = (b"HTTP/1.1 405 Method Not Allowed\r\n"
+                    b"Content-Type: application/json\r\n"
+                    b"Content-Length: %d\r\n"
+                    b"Allow: GET\r\n"
+                    b"Connection: keep-alive\r\n\r\n" % len(body)) + body
+        with socket.create_connection(("127.0.0.1", _port(service)),
+                                      timeout=10) as sock:
+            for _ in range(2):  # the connection stays usable
+                sock.sendall(b"DELETE /v1/metrics HTTP/1.1\r\nHost: x\r\n\r\n")
+                received = _read_until(
+                    sock, lambda got: len(got) >= len(expected))
+                assert received == expected
+
+    def test_jsonl_stream_one_chunk_per_event(self, service):
+        job = service.submit("replicate", {"seeds": [3, 4]})["job"]
+        service._await(job["id"], timeout=15)
+        with socket.create_connection(("127.0.0.1", _port(service)),
+                                      timeout=10) as sock:
+            sock.sendall(b"GET /v1/jobs/%s/events HTTP/1.1\r\nHost: x\r\n"
+                         b"Accept: application/x-ndjson\r\n\r\n"
+                         % job["id"].encode())
+            received = _read_until(
+                sock, lambda got: got.endswith(b"\r\n0\r\n\r\n"))
+        head, _, rest = received.partition(b"\r\n\r\n")
+        assert head == (b"HTTP/1.1 200 OK\r\n"
+                        b"Content-Type: application/x-ndjson\r\n"
+                        b"Cache-Control: no-cache\r\n"
+                        b"Transfer-Encoding: chunked\r\n"
+                        b"Connection: keep-alive")
+        events = []
+        while True:
+            size, _, rest = rest.partition(b"\r\n")
+            length = int(size, 16)
+            chunk, rest = rest[:length], rest[length:]
+            assert rest[:2] == b"\r\n"
+            rest = rest[2:]
+            if not length:
+                break
+            assert chunk.endswith(b"\n") and chunk.count(b"\n") == 1
+            events.append(json.loads(chunk))
+        assert rest == b""
+        assert [e["seq"] for e in events] == [1, 2, 3, 4, 5]
+        assert [e["event"] for e in events] == \
+            ["state", "state", "cell", "cell", "state"]
+        assert events[-1]["state"] == "done"
+
+
 class TestServingSemantics:
     def test_duplicate_submissions_coalesce(self, slow_service):
         blocker = slow_service.submit(

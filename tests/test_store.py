@@ -1,11 +1,20 @@
 """Tests for the content-addressed run store (repro.store)."""
 
+import copy
 import gzip
 import json
+import pickle
+import sys
+import threading
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import repro.store.blobstore as blobstore_module
 from repro.errors import ConfigurationError
+from repro.obs import REGISTRY
+from repro.registry import CATALOG
 from repro.simulation import (
     LongitudinalRunner,
     baseline_timeline,
@@ -22,8 +31,13 @@ from repro.store import (
     RunIndex,
     config_fingerprint,
     scenario_fingerprint,
+    scenario_payload,
     scenario_summary,
 )
+from repro.store.fingerprint import seeded
+
+SPEC_DIR = Path(__file__).resolve().parent.parent / "examples" / \
+    "scenario_specs"
 
 
 def tiny_timeline(seed=0, cadence=6.0, session_hours=4.0):
@@ -87,6 +101,70 @@ class TestFingerprint:
         before = scenario_fingerprint(megamart_timeline())
         monkeypatch.setattr(repro, "__version__", "999.0.0")
         assert scenario_fingerprint(megamart_timeline()) != before
+
+    @pytest.mark.parametrize("spec", [
+        "hackathon", "traditional", "hybrid-balanced", "free-riders",
+        str(SPEC_DIR / "quarterly-hybrid.toml"),
+        str(SPEC_DIR / "constrained-virtual.json"),
+    ])
+    def test_stored_and_carried_equal_fresh(self, spec):
+        scenario = CATALOG.resolve(spec)
+        fresh = config_fingerprint(scenario_payload(scenario))
+        assert scenario_fingerprint(scenario) == fresh
+        assert scenario_fingerprint(scenario) == fresh  # the stored value
+        for seeded_copy in (scenario.with_seed(7), seeded(scenario, 8)):
+            assert "_fingerprint" in vars(seeded_copy)  # carried over
+            assert scenario_fingerprint(seeded_copy) == fresh
+            assert config_fingerprint(scenario_payload(seeded_copy)) == fresh
+
+    def test_only_with_seed_carries(self):
+        scenario = tiny_timeline()
+        scenario_fingerprint(scenario)
+        renamed = replace(scenario, name="other")
+        assert "_fingerprint" not in vars(renamed)
+        assert scenario_fingerprint(renamed) == \
+            config_fingerprint(scenario_payload(renamed))
+        assert scenario_fingerprint(renamed) != scenario_fingerprint(scenario)
+        for clone in (pickle.loads(pickle.dumps(scenario)),
+                      copy.copy(scenario), copy.deepcopy(scenario)):
+            assert clone == scenario
+            assert "_fingerprint" not in vars(clone)
+
+    def test_stored_value_is_not_a_field(self):
+        scenario = tiny_timeline()
+        before = (hash(scenario), scenario_payload(scenario))
+        scenario_fingerprint(scenario)
+        assert (hash(scenario), scenario_payload(scenario)) == before
+        assert scenario == tiny_timeline()
+
+    @pytest.mark.parametrize("key, first, second", [
+        ("session_hours", 4, 4.0),
+        ("month", 0.0, -0.0),
+    ])
+    def test_equal_spellings_keep_distinct_fingerprints(self, key, first,
+                                                        second):
+        def spec(value):
+            plenary = {"name": "Rome", "month": 0.0, "kind": "hackathon"}
+            plenary[key] = value
+            return {"name": "spelled", "plenaries": [plenary]}
+
+        a = CATALOG.resolve(spec(first))
+        b = CATALOG.resolve(spec(second))
+        assert a == b and hash(a) == hash(b)
+        fingerprints = [scenario_fingerprint(a), scenario_fingerprint(b)]
+        assert fingerprints == [config_fingerprint(scenario_payload(a)),
+                                config_fingerprint(scenario_payload(b))]
+        assert fingerprints[0] != fingerprints[1]
+
+    def test_model_version_change_recomputes_stored(self, monkeypatch):
+        import repro
+
+        scenario = megamart_timeline()
+        before = scenario_fingerprint(scenario)
+        monkeypatch.setattr(repro, "__version__", "999.0.0")
+        assert scenario_fingerprint(scenario) != before
+        assert scenario_fingerprint(scenario) == \
+            config_fingerprint(scenario_payload(scenario))
 
     def test_summary_is_json_serializable(self):
         summary = scenario_summary(megamart_timeline())
@@ -161,6 +239,104 @@ class TestBlobStore:
     def test_malformed_key_raises(self, tmp_path):
         with pytest.raises(ConfigurationError):
             BlobStore(tmp_path).get("../../etc/passwd")
+
+
+class TestBlobMemo:
+    """Verified payloads are remembered, never trusted over the disk."""
+
+    @staticmethod
+    def _decodes(monkeypatch):
+        calls = []
+        real = blobstore_module.gzip.decompress
+
+        def counting(raw):
+            calls.append(raw)
+            return real(raw)
+
+        monkeypatch.setattr(blobstore_module.gzip, "decompress", counting)
+        return calls
+
+    def test_hit_skips_decode_and_returns_a_copy(self, tmp_path,
+                                                 monkeypatch):
+        store = BlobStore(tmp_path)
+        key = store.put({"kpi": 1.5, "ties": 3})
+        first, nbytes = store.load(key)
+        decodes = self._decodes(monkeypatch)
+        first["kpi"] = -1.0
+        del first["ties"]
+        again, again_bytes = store.load(key)
+        assert again == {"kpi": 1.5, "ties": 3}
+        assert again_bytes == nbytes
+        assert decodes == []
+        again["kpi"] = 99.0
+        assert store.get(key) == {"kpi": 1.5, "ties": 3}
+
+    def test_same_length_forgery_over_memoized_blob_caught(self, tmp_path,
+                                                          monkeypatch):
+        store = BlobStore(tmp_path)
+        key = store.put({"kpi": 1.0})
+        assert store.get(key) == {"kpi": 1.0}  # memoized
+        path = tmp_path / "objects" / key[:2] / key[2:]
+        original = path.read_bytes()
+        forged = gzip.compress(b'{"kpi":2.0}', mtime=0)
+        assert len(forged) == len(original) and forged != original
+        path.write_bytes(forged)
+        failures = REGISTRY.counter("store_blob_verify_failures_total")
+        before = failures.value
+        assert store.load(key, default="miss") == ("miss", 0)
+        assert failures.value - before == 1
+        path.write_bytes(original)
+        decodes = self._decodes(monkeypatch)
+        assert store.load(key) == ({"kpi": 1.0}, len(original))
+        assert decodes == []  # the restored bytes hit the memo again
+
+    def test_nested_payloads_are_not_memoized(self, tmp_path):
+        store = BlobStore(tmp_path)
+        key = store.put({"rows": [1.0, 2.0]})
+        store.get(key)["rows"].append(3.0)
+        assert store.get(key) == {"rows": [1.0, 2.0]}
+        assert key not in store._memo
+
+    def test_memo_never_exceeds_its_bound(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(blobstore_module, "_MEMO_ENTRIES", 3)
+        store = BlobStore(tmp_path)
+        keys = [store.put({"kpi": float(i)}) for i in range(8)]
+        for i, key in enumerate(keys):
+            assert store.get(key) == {"kpi": float(i)}
+            assert len(store._memo) <= 3
+        assert list(store._memo) == keys[-3:]
+        assert [store.get(key) for key in keys] == \
+            [{"kpi": float(i)} for i in range(8)]
+
+    def test_threads_sharing_one_memo(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(blobstore_module, "_MEMO_ENTRIES", 4)
+        store = BlobStore(tmp_path)
+        payloads = [{"kpi": float(i), "seed": i} for i in range(12)]
+        keys = [store.put(payload) for payload in payloads]
+        errors = []
+
+        def reader(offset):
+            for step in range(300):
+                i = (offset + step) % len(keys)
+                got = store.get(keys[i])
+                if got != payloads[i] or len(store._memo) > 4:
+                    errors.append((i, got, len(store._memo)))
+                got["kpi"] = -1.0  # a caller's edit never reaches the memo
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(n,))
+                       for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(store._memo) <= 4
 
 
 # ---------------------------------------------------------------------------
