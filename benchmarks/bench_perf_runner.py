@@ -10,7 +10,8 @@ regenerates all the others.  It times
   traced 100-seed replicate (setup / exchange / metrics / survey /
   trajectory / aging, with the summed ``sim.run`` spans as the total)
   aggregated from the engine's own trace spans,
-* a cold-vs-warm ``RunCache.compare_scenarios`` pair over a fresh store,
+* a cold-vs-warm cached compare (``execute_plan`` over a fresh
+  ``RunCache``),
 * the same warm compare with metrics updates globally disabled
   (``repro.obs.set_enabled``), pricing the observability layer itself,
 * the HTTP service: sustained cached-job throughput (jobs/sec) and the
@@ -45,6 +46,8 @@ from pathlib import Path
 import pytest
 
 from repro.obs import TRACER, set_enabled
+from repro.service.specs import build_plan
+from repro.service.workers import execute_plan
 from repro.simulation import (
     baseline_timeline,
     compare_scenarios,
@@ -152,19 +155,16 @@ def timings():
     cache_root = tempfile.mkdtemp(prefix="repro-cache-bench-")
     try:
         cache = RunCache(cache_root)
+        plan = build_plan("compare", {"seeds": SEEDS})
         t0 = time.perf_counter()
-        cold_result = cache.compare_scenarios(
-            megamart_timeline(), baseline_timeline(), seeds=SEEDS
-        )
+        cold_result = execute_plan(plan, cache)
         cache_cold = time.perf_counter() - t0
-        warm_fn = lambda: cache.compare_scenarios(
-            megamart_timeline(), baseline_timeline(), seeds=SEEDS
-        )
+        warm_fn = lambda: execute_plan(plan, cache)
         cache_warm = _best_of(3, warm_fn)
         warm_result = warm_fn()
         # The store must be invisible in the numbers it returns.
-        assert warm_result.metrics_a == cold_result.metrics_a
-        assert warm_result.metrics_b == cold_result.metrics_b
+        assert warm_result["metrics_a"] == cold_result["metrics_a"]
+        assert warm_result["metrics_b"] == cold_result["metrics_b"]
         # Price the always-on instrumentation: the same warm compare
         # with every metric update turned into a no-op.
         obs_on = _best_of(7, warm_fn)
@@ -202,9 +202,7 @@ def _service_timings():
     try:
         cache = RunCache(cache_root)
         # Warm the store so every served job is a pure cache workload.
-        warm = cache.compare_scenarios(
-            megamart_timeline(), baseline_timeline(), seeds=SEEDS
-        )
+        warm = execute_plan(build_plan("compare", {"seeds": SEEDS}), cache)
         server = build_async_server(port=0, cache=cache)
         serve_async(server)
         try:
@@ -222,11 +220,9 @@ def _service_timings():
                 latencies.append(time.perf_counter() - t0)
             elapsed = time.perf_counter() - t_start
             # Served KPIs must equal the in-process cached ones.
-            from repro.service.specs import comparison_from_payload
-
-            served = comparison_from_payload(client.result(job["id"]))
-            assert served.metrics_a == warm.metrics_a
-            assert served.metrics_b == warm.metrics_b
+            served = client.result(job["id"])
+            assert served["metrics_a"] == warm["metrics_a"]
+            assert served["metrics_b"] == warm["metrics_b"]
         finally:
             server.shutdown()
             server.server_close()

@@ -1,23 +1,23 @@
 """One front door for the whole toolkit.
 
-The package grew four ways to run an experiment — the in-process
-functions (:mod:`repro.simulation`), the memoized store
-(:class:`repro.store.RunCache`), the HTTP client
-(:class:`repro.service.client.ServiceClient`) and the CLI — each with
-its own spelling of the same knobs.  This module is the uniform facade
-over all of them: every entry point takes scenario *specs* (timeline
-names or inline mappings, exactly as the HTTP API does), a ``seeds``
-count or list, and the same keyword set::
+Every entry point here takes scenario *specs* (timeline names, plugin
+scenarios, ``scenario-spec/v1`` file paths or inline mappings, exactly
+as the HTTP API does), a ``seeds`` count or list, and the same keyword
+set::
 
     workers=N          fan cells out over N processes
     cache=True         memoize through the run store
     cache_dir=PATH     where that store lives
     trace=PATH         record a span tree and write it as JSONL
 
-Results are the same objects the lower layers return —
+Each call runs a served job's path in-process: its arguments become a
+:class:`~repro.service.specs.JobPlan`, which
+:func:`~repro.service.workers.execute_plan` resolves, from the run store
+when ``cache=True``.  The CLI calls these functions too.  Results are
+the objects the lower layers return —
 :class:`~repro.simulation.experiment.ComparisonResult`,
 :class:`~repro.simulation.sweep.SweepResult`, plain KPI dictionaries —
-and are **bit-identical** whichever path (live, cached, remote)
+and are **bit-identical** whichever way (live, cached, remote)
 produced them.
 
 >>> import repro.api as api
@@ -28,6 +28,7 @@ produced them.
 
 from __future__ import annotations
 
+import operator
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
 
@@ -36,16 +37,14 @@ from repro.obs import span, tracing
 from repro.registry import CATALOG
 from repro.service.client import ServiceClient
 from repro.service.specs import (
-    resolve_scenario,
-    resolve_seeds,
-    sweep_plan,
+    JobPlan,
+    build_plan,
+    comparison_from_payload,
+    sweep_from_payload,
 )
-from repro.simulation.experiment import (
-    ComparisonResult,
-    compare_scenarios,
-    replicate_metrics,
-)
-from repro.simulation.sweep import SweepResult, run_sweep
+from repro.service.workers import execute_plan
+from repro.simulation.experiment import ComparisonResult
+from repro.simulation.sweep import SweepResult
 from repro.store.runcache import DEFAULT_CACHE_DIR, RunCache
 
 __all__ = ["CATALOG", "replicate", "compare", "sweep", "scenarios",
@@ -58,10 +57,21 @@ ScenarioSpec = Union[str, Dict[str, Any]]
 SeedsSpec = Union[int, Sequence[int]]
 
 
-def _seeds(raw: SeedsSpec) -> List[int]:
-    if not isinstance(raw, int):
-        raw = [int(s) for s in raw]
-    return resolve_seeds(raw)
+def _index(value: Any) -> Any:
+    """``value`` as an int if it is integer-like (not a bool), else as is."""
+    try:
+        return value if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        return value
+
+
+def _seeds(raw: SeedsSpec) -> Any:
+    """A seeds spec as JSON job parameters spell it: numpy ints and a
+    ``range``'s items become ints; anything else is left for
+    :func:`~repro.service.specs.resolve_seeds` to reject as over HTTP."""
+    if isinstance(raw, (str, bytes, dict)) or not hasattr(raw, "__iter__"):
+        return _index(raw)
+    return [_index(seed) for seed in raw]
 
 
 @contextmanager
@@ -83,6 +93,15 @@ def _traced(trace: Optional[str], name: str, **attrs: Any) -> Iterator[None]:
             yield
 
 
+def _run(plan: JobPlan, trace: Optional[str], workers: int, cache: bool,
+         cache_dir: str, **attrs: Any) -> Dict[str, Any]:
+    """Execute ``plan`` inside the ``api.<kind>`` span; return its payload."""
+    with _traced(trace, f"api.{plan.kind}", **attrs,
+                 seeds=len(plan.grid.seeds), cache=cache):
+        store = RunCache(cache_dir) if cache else None
+        return execute_plan(plan, store, workers=workers)
+
+
 def replicate(
     scenario: ScenarioSpec = "hackathon",
     seeds: SeedsSpec = 5,
@@ -93,15 +112,11 @@ def replicate(
     trace: Optional[str] = None,
 ) -> List[Dict[str, float]]:
     """KPI dictionaries of ``scenario`` under each seed, in seed order."""
-    resolved = resolve_scenario(scenario)
-    seed_list = _seeds(seeds)
-    with _traced(trace, "api.replicate", scenario=resolved.name,
-                 seeds=len(seed_list), cache=cache):
-        if cache:
-            return RunCache(cache_dir).replicate(
-                resolved, seed_list, workers=workers
-            )
-        return replicate_metrics(resolved, seed_list, workers=workers)
+    plan = build_plan("replicate", {"scenario": scenario,
+                                    "seeds": _seeds(seeds)})
+    payload = _run(plan, trace, workers, cache, cache_dir,
+                   scenario=plan.grid.points[0].name)
+    return payload["metrics"]
 
 
 def compare(
@@ -115,18 +130,12 @@ def compare(
     trace: Optional[str] = None,
 ) -> ComparisonResult:
     """Compare two scenario specs over shared seeds."""
-    scenario_a = resolve_scenario(a)
-    scenario_b = resolve_scenario(b)
-    seed_list = _seeds(seeds)
-    with _traced(trace, "api.compare", a=scenario_a.name,
-                 b=scenario_b.name, seeds=len(seed_list), cache=cache):
-        if cache:
-            return RunCache(cache_dir).compare_scenarios(
-                scenario_a, scenario_b, seed_list, workers=workers
-            )
-        return compare_scenarios(
-            scenario_a, scenario_b, seed_list, workers=workers
-        )
+    plan = build_plan("compare", {"a": a, "b": b, "seeds": _seeds(seeds)})
+    scenario_a, scenario_b = plan.grid.points
+    return comparison_from_payload(_run(
+        plan, trace, workers, cache, cache_dir,
+        a=scenario_a.name, b=scenario_b.name,
+    ))
 
 
 def scenarios() -> Dict[str, Any]:
@@ -155,19 +164,12 @@ def sweep(
     ``base`` points sweeps registered with ``supports_base=True`` at a
     different base scenario spec.
     """
-    chosen, factory, label_fn = sweep_plan(parameter, values, base=base)
-    seed_list = _seeds(seeds)
-    with _traced(trace, "api.sweep", parameter=parameter,
-                 points=len(chosen), seeds=len(seed_list), cache=cache):
-        if cache:
-            return RunCache(cache_dir).run_sweep(
-                parameter, chosen, factory, seeds=seed_list,
-                label_fn=label_fn, workers=workers,
-            )
-        return run_sweep(
-            parameter, chosen, factory, seeds=seed_list,
-            label_fn=label_fn, workers=workers,
-        )
+    plan = build_plan("sweep", {"parameter": parameter, "values": values,
+                                "seeds": _seeds(seeds), "scenario": base})
+    return sweep_from_payload(_run(
+        plan, trace, workers, cache, cache_dir,
+        parameter=parameter, points=len(plan.grid.points),
+    ))
 
 
 def submit_job(

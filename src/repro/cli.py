@@ -24,7 +24,8 @@ environment variable, and ``scenario-spec/v1`` JSON/TOML files —
 ``compare --scenario path/to/spec.toml`` works like any registered
 name.
 
-``compare`` and ``sweep`` take ``--workers N`` to fan seeds out over a
+``compare`` and ``sweep`` run through :mod:`repro.api` (the path a
+served job takes).  They take ``--workers N`` to fan seeds out over a
 process pool, and ``--cache`` to memoize per-seed KPI dictionaries in
 the content-addressed run store (``--cache-dir``, default
 ``.repro-cache``) so repeated invocations only compute missing cells.
@@ -54,11 +55,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from contextlib import nullcontext
 
-from repro import RngHub, build_framework, megamart2
+from repro import RngHub, api, build_framework, megamart2
 from repro.errors import ConfigurationError, ReproError
 from repro.obs import REGISTRY, tracing
 from repro.core.variants import ALL_VARIANTS, build_variant_event
@@ -72,13 +73,7 @@ from repro.reporting import (
     to_json,
 )
 from repro.registry import CATALOG, load_spec_file
-from repro.service.specs import resolve_scenario, sweep_plan
-from repro.simulation import (
-    LongitudinalRunner,
-    compare_scenarios,
-    megamart_timeline,
-    run_sweep,
-)
+from repro.simulation import LongitudinalRunner, megamart_timeline
 from repro.store import DEFAULT_CACHE_DIR, RunCache
 
 __all__ = ["main", "build_parser"]
@@ -260,45 +255,49 @@ def _check_execution_options(args: argparse.Namespace) -> None:
         )
 
 
-def _trace_context(args: argparse.Namespace):
-    """``tracing(path)`` when ``--trace`` was given, else a no-op."""
-    return tracing(args.trace) if args.trace else nullcontext()
-
-
 def _print_trace_summary(args: argparse.Namespace) -> None:
     if args.trace:
         print(f"\ntrace written to {args.trace}")
 
 
-def _arm_label(spec: str, scenario) -> str:
+def _arm_label(spec: str, name: str) -> str:
     """Column label for a compare arm: the name as the user typed it,
     or the resolved scenario name when the spec was a file path."""
     from repro.registry import looks_like_spec_path
 
-    return scenario.name if looks_like_spec_path(spec) else spec
+    return name if looks_like_spec_path(spec) else spec
+
+
+def _execution_kwargs(args: argparse.Namespace) -> dict:
+    """The ``repro.api`` keywords that ``compare`` and ``sweep`` flags set."""
+    return {"seeds": args.seeds, "workers": args.workers,
+            "cache": args.cache, "cache_dir": args.cache_dir,
+            "trace": args.trace}
+
+
+def _cache_counts() -> Tuple[float, float]:
+    return (REGISTRY.counter("cache_hits_total").value,
+            REGISTRY.counter("cache_misses_total").value)
+
+
+def _print_cache_summary(args: argparse.Namespace,
+                         before: Tuple[float, float]) -> None:
+    """With ``--cache``, the cells served and computed since ``before``."""
+    if args.cache:
+        hits, misses = _cache_counts()
+        print(f"\ncache: {hits - before[0]:.0f} hit(s), "
+              f"{misses - before[1]:.0f} computed ({args.cache_dir})")
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     _check_execution_options(args)
     # Both arms resolve through the catalog: registered names (builtin
     # or plugin) and scenario-spec files are interchangeable here.
-    scenario_a = resolve_scenario(args.scenario)
-    scenario_b = resolve_scenario(args.baseline)
-    label_a = _arm_label(args.scenario, scenario_a)
-    label_b = _arm_label(args.baseline, scenario_b)
-    cache: Optional[RunCache] = None
-    with _trace_context(args):
-        if args.cache:
-            cache = RunCache(args.cache_dir)
-            result = cache.compare_scenarios(
-                scenario_a, scenario_b,
-                seeds=range(args.seeds), workers=args.workers,
-            )
-        else:
-            result = compare_scenarios(
-                scenario_a, scenario_b,
-                seeds=range(args.seeds), workers=args.workers,
-            )
+    before = _cache_counts()
+    result = api.compare(args.scenario, args.baseline,
+                         **_execution_kwargs(args))
+    label_a = _arm_label(args.scenario, result.name_a)
+    label_b = _arm_label(args.baseline, result.name_b)
     rows = []
     for comparison in result.all_comparisons():
         rows.append([
@@ -313,17 +312,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         ["KPI", label_a, label_b, "ratio", "p (MWU)"],
         rows, title=f"{label_a} vs {label_b} over {args.seeds} seeds",
     ))
-    _print_cache_summary(cache)
+    _print_cache_summary(args, before)
     _print_trace_summary(args)
     return 0
-
-
-def _print_cache_summary(cache: Optional[RunCache]) -> None:
-    if cache is not None:
-        print(
-            f"\ncache: {cache.session_hits} hit(s), "
-            f"{cache.session_misses} computed ({cache.root})"
-        )
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
@@ -379,22 +370,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     _check_execution_options(args)
     # The sweepable parameters live in one registry shared with the
     # HTTP service, so CLI sweeps and served sweeps stay identical.
-    values, factory, label_fn = sweep_plan(
-        args.parameter, base=args.scenario
-    )
-    cache: Optional[RunCache] = None
-    with _trace_context(args):
-        if args.cache:
-            cache = RunCache(args.cache_dir)
-            result = cache.run_sweep(
-                args.parameter, values, factory, seeds=range(args.seeds),
-                label_fn=label_fn, workers=args.workers,
-            )
-        else:
-            result = run_sweep(
-                args.parameter, values, factory, seeds=range(args.seeds),
-                label_fn=label_fn, workers=args.workers,
-            )
+    before = _cache_counts()
+    result = api.sweep(args.parameter, base=args.scenario,
+                       **_execution_kwargs(args))
     metrics = ("convincing_demos", "knowledge_transferred",
                "final_burnout_rate")
     print(ascii_table(
@@ -402,7 +380,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         result.table_rows(metrics),
         title=f"sweep of {args.parameter} over {args.seeds} seed(s)",
     ))
-    _print_cache_summary(cache)
+    _print_cache_summary(args, before)
     _print_trace_summary(args)
     return 0
 
@@ -519,7 +497,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
           "GET /v1/scenarios  GET /v1/cache/stats  GET /v1/metrics  "
           "GET /healthz")
     try:
-        with _trace_context(args):
+        with tracing(args.trace) if args.trace else nullcontext():
             thread.join()
     except KeyboardInterrupt:
         print("\nshutting down")

@@ -126,10 +126,18 @@ def sweep_plan(
 class JobPlan:
     """A fully resolved job: its cells and how to assemble the result."""
 
-    kind: str
-    scenarios: List[Scenario]
+    grid: Grid
     key: str
     assemble: Callable[[List[Dict[str, float]]], Dict[str, Any]]
+
+    @property
+    def kind(self) -> str:
+        return self.grid.kind
+
+    @property
+    def scenarios(self) -> List[Scenario]:
+        """The seeded per-cell scenarios, point-major."""
+        return self.grid.cells
 
 
 def _plan(
@@ -149,8 +157,7 @@ def _plan(
         "extra": extra,
     })
     return JobPlan(
-        kind=cells.kind,
-        scenarios=cells.cells,
+        grid=cells,
         key=hashlib.sha256(blob.encode("ascii")).hexdigest(),
         assemble=lambda metrics: {"kind": cells.kind,
                                   **payload(cells.rows(metrics))},
@@ -243,10 +250,10 @@ def comparison_from_payload(payload: Dict[str, Any]) -> ComparisonResult:
 
 def sweep_from_payload(payload: Dict[str, Any]) -> SweepResult:
     """Rebuild a :class:`SweepResult` from a sweep job result."""
-    labels = payload["labels"]
+    labels = iter(payload["labels"])
     return sweep_from_metrics(
         payload["parameter_name"],
         payload["values"],
         payload["per_point_metrics"],
-        label_fn=lambda v: labels[payload["values"].index(v)],
+        label_fn=lambda _value: next(labels),
     )

@@ -246,9 +246,9 @@ def comparison_from_metrics(
 ) -> ComparisonResult:
     """Assemble a :class:`ComparisonResult` from precomputed KPI dicts.
 
-    Shared by the live path below and :class:`repro.store.RunCache`,
-    which serves the per-seed dictionaries from disk — both produce
-    structurally identical results.
+    Shared by the live path below and by job payloads
+    (:func:`repro.service.specs.comparison_from_payload`), whose
+    per-seed dictionaries may come from the run store.
     """
     result = ComparisonResult(
         name_a=name_a, name_b=name_b, seeds=[int(s) for s in seeds]

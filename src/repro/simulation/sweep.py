@@ -91,8 +91,8 @@ def sweep_from_metrics(
     """Assemble a :class:`SweepResult` from precomputed KPI dicts.
 
     ``per_point_metrics[i]`` holds the per-seed dictionaries for
-    ``parameter_values[i]``.  Shared by :func:`run_sweep` and
-    :class:`repro.store.RunCache`, which fills the grid from disk.
+    ``parameter_values[i]``.  Shared by :func:`run_sweep` and by job
+    payloads (:func:`repro.service.specs.sweep_from_payload`).
     """
     if len(per_point_metrics) != len(parameter_values):
         raise ConfigurationError(

@@ -7,16 +7,18 @@ turns that into infrastructure:
 * :mod:`repro.store.fingerprint` — canonical scenario hashing.
 * :mod:`repro.store.blobstore` — sharded, atomic, gzip'd object store.
 * :mod:`repro.store.index` — JSONL manifest with hit accounting.
-* :mod:`repro.store.runcache` — memoized ``replicate`` /
-  ``compare_scenarios`` / ``run_sweep`` with resumable sweeps.
+* :mod:`repro.store.runcache` — :class:`RunCache`, which serves a
+  grid's cells from disk and computes only the missing ones, so
+  interrupted or extended sweeps resume.
 
-Quick use::
+Quick use — memoize through the facade, then inspect the store::
 
+    from repro import api
     from repro.store import RunCache
 
-    cache = RunCache(".repro-cache")
-    result = cache.compare_scenarios(treatment, control, seeds=range(20))
-    cache.stats()   # fingerprints, runs, hits, bytes on disk
+    result = api.compare("hackathon", "traditional", seeds=20,
+                         cache=True, cache_dir=".repro-cache")
+    RunCache(".repro-cache").stats()   # fingerprints, runs, hits, bytes
 """
 
 from repro.store.blobstore import BlobStats, BlobStore

@@ -6,7 +6,11 @@ blob key), creation / last-use timestamps, and a hit counter.  On disk
 it is an append-only JSONL journal — every ``store`` and ``hit`` is one
 line, so concurrent appenders interleave whole records and a crashed
 writer costs at most its last line.  :meth:`RunIndex.compact` rewrites
-the journal as one ``entry`` snapshot per fingerprint.
+the journal as one ``entry`` snapshot per fingerprint.  Hits would grow
+the journal without bound, so an append that takes it past
+:data:`COMPACT_SLACK_LINES` plus :data:`COMPACT_LINES_PER_RUN` lines
+per cached run compacts it under the lock, first re-reading it if
+another process has appended to it.
 
 Unreadable journal lines are skipped on load, mirroring the blob
 store's stance: corruption downgrades to a cache miss, never an error.
@@ -28,6 +32,11 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Set
 
 __all__ = ["IndexEntry", "IndexStats", "RunIndex"]
+
+#: Journal lines allowed beyond :data:`COMPACT_LINES_PER_RUN` per cached
+#: run before an append compacts the journal.
+COMPACT_SLACK_LINES = 256
+COMPACT_LINES_PER_RUN = 2
 
 
 @dataclass
@@ -60,19 +69,28 @@ class RunIndex:
     def __init__(self, path: os.PathLike) -> None:
         self.path = Path(path)
         self._entries: Dict[str, IndexEntry] = {}
+        # The journal's lines and bytes as this index last knew them: a
+        # size it does not expect means another process appended.
+        self._lines = 0
+        self._size = 0
         self._lock = threading.Lock()
         self._load()
 
     # -- journal ----------------------------------------------------------
 
     def _load(self) -> None:
+        """(Re)build the in-memory view from the journal on disk."""
+        self._entries.clear()
+        self._lines = self._size = 0
         if not self.path.exists():
             return
-        with self.path.open("r", encoding="ascii", errors="replace") as fh:
-            for line in fh:
-                line = line.strip()
+        with self.path.open("rb") as fh:
+            for raw in fh:
+                self._size += len(raw)
+                line = raw.decode("ascii", errors="replace").strip()
                 if not line:
                     continue
+                self._lines += 1
                 try:
                     record = json.loads(line)
                 except json.JSONDecodeError:
@@ -124,6 +142,18 @@ class RunIndex:
         )
         with self.path.open("a", encoding="ascii") as fh:
             fh.write(lines)
+        self._lines += len(records)
+        self._size += len(lines)
+        if self._lines > COMPACT_SLACK_LINES + COMPACT_LINES_PER_RUN * sum(
+            len(e.seeds) for e in self._entries.values()
+        ):
+            try:
+                others_wrote = self.path.stat().st_size != self._size
+            except FileNotFoundError:
+                others_wrote = True
+            if others_wrote:
+                self._load()  # so their records survive the rewrite
+            self._write_snapshot()
 
     # -- recording --------------------------------------------------------
 
@@ -209,31 +239,32 @@ class RunIndex:
     def compact(self) -> None:
         """Rewrite the journal as one snapshot line per fingerprint."""
         with self._lock:
-            records = [
-                {
-                    "event": "entry",
-                    "fingerprint": e.fingerprint,
-                    "scenario": e.scenario,
-                    "seeds": {str(s): b for s, b in sorted(e.seeds.items())},
-                    "created": e.created,
-                    "last_used": e.last_used,
-                    "hits": e.hits,
-                    "misses": e.misses,
-                }
-                for e in self._entries_snapshot()
-            ]
-            tmp = self.path.with_name(self.path.name + ".tmp")
-            with tmp.open("w", encoding="ascii") as fh:
-                for record in records:
-                    fh.write(
-                        json.dumps(
-                            record, sort_keys=True, separators=(",", ":")
-                        )
-                        + "\n"
-                    )
-            os.replace(tmp, self.path)
+            self._write_snapshot()
+
+    def _write_snapshot(self) -> None:
+        """Replace the journal with the in-memory entries (lock held)."""
+        lines = "".join(
+            json.dumps({
+                "event": "entry",
+                "fingerprint": e.fingerprint,
+                "scenario": e.scenario,
+                "seeds": {str(s): b for s, b in sorted(e.seeds.items())},
+                "created": e.created,
+                "last_used": e.last_used,
+                "hits": e.hits,
+                "misses": e.misses,
+            }, sort_keys=True, separators=(",", ":")) + "\n"
+            for e in self._entries_snapshot()
+        )
+        # One temporary name per process: two processes compacting the
+        # same store must not write into each other's file.
+        tmp = self.path.with_name(f"{self.path.name}.{os.getpid()}.tmp")
+        tmp.write_text(lines, encoding="ascii")
+        os.replace(tmp, self.path)
+        self._lines, self._size = len(self._entries), len(lines)
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._lines = self._size = 0
             self.path.unlink(missing_ok=True)

@@ -54,19 +54,9 @@ from repro.simulation.cells import (
     compute_cells,
     effective_workers,
 )
-from repro.simulation.experiment import (
-    ComparisonResult,
-    comparison_from_metrics,
-    grid,
-)
 from repro.simulation.scenario import Scenario
-from repro.simulation.sweep import SweepResult, sweep_from_metrics
 from repro.store.blobstore import BlobStore
-from repro.store.fingerprint import (
-    scenario_fingerprint,
-    scenario_summary,
-    seeded,
-)
+from repro.store.fingerprint import scenario_fingerprint, scenario_summary
 from repro.store.index import RunIndex
 
 __all__ = ["CacheStats", "RunCache", "WorkerPool"]
@@ -110,9 +100,11 @@ class CacheStats:
 class RunCache:
     """Disk-backed ``(scenario, seed) → KPI dictionary`` memo table.
 
-    Wraps the three experiment entry points — :meth:`replicate`,
-    :meth:`compare_scenarios` and :meth:`run_sweep` — behind the store.
-    ``workers`` only ever applies to the cells actually computed.
+    :meth:`fetch_metrics` resolves any grid's cells against the store;
+    replicates, comparisons and sweeps reach it through one executor,
+    :func:`~repro.service.workers.execute_plan` (``repro.api`` with
+    ``cache=True``, the CLI's ``--cache``, the service).  ``workers``
+    only ever applies to the cells actually computed.
     """
 
     def __init__(
@@ -341,51 +333,6 @@ class RunCache:
                 self._count(hits=len(waited_pairs),
                             waits=len(waited_pairs))
         return failed
-
-    # -- experiment API ---------------------------------------------------
-
-    def replicate(
-        self,
-        scenario: Scenario,
-        seeds: Sequence[int],
-        workers: int = 1,
-    ) -> List[Dict[str, float]]:
-        """KPI dictionaries of ``scenario`` under each seed, memoized."""
-        cells = grid("replicate", (scenario,), seeds, seeded)
-        return self.fetch_metrics(cells.cells, workers=workers)
-
-    def compare_scenarios(
-        self,
-        a: Scenario,
-        b: Scenario,
-        seeds: Sequence[int] = (),
-        workers: int = 1,
-    ) -> ComparisonResult:
-        """Memoized :func:`~repro.simulation.experiment.compare_scenarios`."""
-        cells = grid("compare", (a, b), seeds, seeded)
-        metrics = self.fetch_metrics(cells.cells, workers=workers)
-        return comparison_from_metrics(a.name, b.name, cells.seeds,
-                                       *cells.rows(metrics))
-
-    def run_sweep(
-        self,
-        parameter: str,
-        values: Sequence[object],
-        factory: Callable[[object, int], Scenario],
-        seeds: Sequence[int] = (),
-        label_fn: Optional[Callable[[object], str]] = None,
-        workers: int = 1,
-    ) -> SweepResult:
-        """Memoized :func:`~repro.simulation.sweep.run_sweep`.
-
-        Resume comes for free: a sweep interrupted mid-grid, or extended
-        with new parameter values or seeds, recomputes only the
-        ``(value, seed)`` cells absent from the store.
-        """
-        cells = grid("sweep", values, seeds, factory)
-        metrics = self.fetch_metrics(cells.cells, workers=workers)
-        return sweep_from_metrics(parameter, values, cells.rows(metrics),
-                                  label_fn=label_fn)
 
     # -- maintenance ------------------------------------------------------
 

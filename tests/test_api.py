@@ -193,27 +193,24 @@ class TestDeprecatedKwargs:
                 seeds=[0],
             )
 
-    def test_unknown_kwarg_is_a_type_error(self, tmp_path):
+    def test_unknown_kwarg_is_a_type_error(self):
         with pytest.raises(TypeError, match="scenario_c"):
             compare_scenarios(
                 megamart_timeline(), baseline_timeline(), seeds=[0],
                 scenario_c=baseline_timeline(),
             )
-        cache = RunCache(tmp_path / "store")
-        for compare in (compare_scenarios, cache.compare_scenarios):
-            with pytest.raises(TypeError, match="scenario_b"):
-                compare(megamart_timeline(), scenario_b=baseline_timeline(),
-                        seeds=[0])
-            with pytest.raises(TypeError, match="backend"):
-                compare(megamart_timeline(), baseline_timeline(),
-                        seeds=[0], backend="scalar")
+        with pytest.raises(TypeError, match="scenario_b"):
+            compare_scenarios(megamart_timeline(),
+                              scenario_b=baseline_timeline(), seeds=[0])
+        with pytest.raises(TypeError, match="backend"):
+            compare_scenarios(megamart_timeline(), baseline_timeline(),
+                              seeds=[0], backend="scalar")
         values, factory, _ = sweep_plan("cadence", [2.0])
-        for sweep in (run_sweep, cache.run_sweep):
-            with pytest.raises(TypeError, match="parameter_name"):
-                sweep(parameter_name="cadence", values=values,
+        with pytest.raises(TypeError, match="parameter_name"):
+            run_sweep(parameter_name="cadence", values=values,
                       factory=factory, seeds=[0])
-            with pytest.raises(TypeError, match="scenario_factory"):
-                sweep("cadence", values, scenario_factory=factory,
+        with pytest.raises(TypeError, match="scenario_factory"):
+            run_sweep("cadence", values, scenario_factory=factory,
                       seeds=[0])
         for call in (api.replicate, api.compare, api.sweep):
             with pytest.raises(TypeError, match="backend"):

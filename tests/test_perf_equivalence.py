@@ -30,6 +30,7 @@ from repro.simulation.experiment import (
     compare_scenarios,
     effective_workers,
     extract_metrics,
+    grid,
     replicate,
     replicate_metrics,
 )
@@ -350,6 +351,12 @@ class TestBatchFallbacks:
         assert via_factory == _reference(scenario, [1, 2])
 
 
+def _cells(scenario, seeds):
+    from repro.store.fingerprint import seeded
+
+    return grid("replicate", (scenario,), seeds, seeded).cells
+
+
 class TestRunCacheBatch:
     """The cache stores a batch of computed cells bit-identically."""
 
@@ -359,10 +366,11 @@ class TestRunCacheBatch:
         scenario = megamart_timeline(seed=0)
         seeds = [1, 2, 3]
         cache = RunCache(tmp_path / "store")
-        cold = cache.replicate(scenario, seeds)
+        cold = cache.fetch_metrics(_cells(scenario, seeds))
         assert cache.session_misses == 3
         assert cold == _reference(scenario, seeds)
-        warm = RunCache(tmp_path / "store").replicate(scenario, seeds)
+        warm = RunCache(tmp_path / "store").fetch_metrics(
+            _cells(scenario, seeds))
         assert warm == cold
 
     def test_partial_hits_batch_only_the_missing_cells(self, tmp_path):
@@ -370,8 +378,8 @@ class TestRunCacheBatch:
 
         scenario = megamart_timeline(seed=0)
         cache = RunCache(tmp_path / "store")
-        cache.replicate(scenario, [1, 2])
-        out = cache.replicate(scenario, [1, 2, 3, 4])
+        cache.fetch_metrics(_cells(scenario, [1, 2]))
+        out = cache.fetch_metrics(_cells(scenario, [1, 2, 3, 4]))
         assert cache.session_hits == 2
         assert cache.session_misses == 4
         assert out == _reference(scenario, [1, 2, 3, 4])

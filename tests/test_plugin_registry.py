@@ -397,11 +397,11 @@ class TestProvenance:
         cache = RunCache(str(tmp_path / "store"))
         ours = _mini_scenario(plugin="plugin-a")
         theirs = _mini_scenario(plugin="plugin-b")
-        first = cache.replicate(ours, [0])
+        [first] = cache.fetch_metrics([ours])
         assert cache.session_misses == 1
-        cache.replicate(ours, [0])
+        cache.fetch_metrics([ours])
         assert cache.session_hits == 1  # identical scenario: cache hit
-        second = cache.replicate(theirs, [0])
+        [second] = cache.fetch_metrics([theirs])
         # same name, same body, different plugin -> recomputed, never
         # served from plugin-a's cache entry
         assert cache.session_misses == 2

@@ -31,6 +31,7 @@ from repro.service.jobs import (
     Job,
 )
 from repro.service.scheduler import Scheduler
+from repro.service.workers import execute_plan
 from repro.service.specs import (
     build_plan,
     comparison_from_payload,
@@ -462,18 +463,15 @@ class TestScheduler:
                 Scheduler(cache, **kwargs)
 
     def test_compare_job_matches_in_process(self, tmp_path):
-        """Scheduler compare == RunCache compare == fake in-process."""
+        """Scheduler compare == the cache's cells == fake in-process."""
         scheduler = _scheduler(tmp_path)
         try:
             job, _ = scheduler.submit("compare", {"seeds": 2})
             final = scheduler.wait(job.id, timeout=15)
             assert final.state == DONE
             rebuilt = comparison_from_payload(final.result)
-            direct = scheduler.cache.compare_scenarios(
-                resolve_scenario("hackathon"),
-                resolve_scenario("traditional"),
-                seeds=[0, 1],
-            )
+            direct = comparison_from_payload(execute_plan(
+                build_plan("compare", {"seeds": [0, 1]}), scheduler.cache))
             assert rebuilt.metrics_a == direct.metrics_a
             assert rebuilt.metrics_b == direct.metrics_b
         finally:
@@ -490,7 +488,7 @@ class TestScheduler:
         # index (loaded at construction) includes the pre-stored cell
         warm = RunCache(tmp_path / "store",
                         runner_factory=quick_factory)
-        warm.replicate(resolve_scenario("hackathon"), [0])
+        warm.fetch_metrics([resolve_scenario("hackathon").with_seed(0)])
         cache = RunCache(tmp_path / "store", runner_factory=factory)
         scheduler = Scheduler(cache, workers=2, max_retries=3,
                               retry_backoff_s=0.01)

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import repro.store.blobstore as blobstore_module
+import repro.store.index as index_module
 from repro.errors import ConfigurationError
 from repro.obs import REGISTRY
 from repro.registry import CATALOG
@@ -23,10 +24,14 @@ from repro.simulation import (
     replicate,
     run_sweep,
 )
-from repro.simulation.experiment import extract_metrics
+from repro.service.specs import build_plan, comparison_from_payload
+from repro.service.workers import execute_plan
+from repro.simulation.experiment import extract_metrics, grid
+from repro.simulation.sweep import sweep_from_metrics
 from repro.simulation.scenario import PlenarySpec, Scenario
 from repro.store import (
     BlobStore,
+    IndexStats,
     RunCache,
     RunIndex,
     config_fingerprint,
@@ -51,6 +56,18 @@ def tiny_timeline(seed=0, cadence=6.0, session_hours=4.0):
         ),
         horizon_months=cadence + 3.0,
     )
+
+
+def tiny_cells(seeds):
+    """The seeded cells of a replicate of ``tiny_timeline()``."""
+    return grid("replicate", (tiny_timeline(),), seeds, seeded).cells
+
+
+def sweep_through(cache, values, factory, seeds):
+    """A cadence sweep resolved through ``cache``, as a SweepResult."""
+    cells = grid("sweep", values, seeds, factory)
+    return sweep_from_metrics("cadence", values,
+                              cells.rows(cache.fetch_metrics(cells.cells)))
 
 
 class CountingFactory:
@@ -382,6 +399,50 @@ class TestRunIndex:
         assert reloaded.lookup("f" * 64, 1) == "b" * 64
         assert reloaded.stats().hits == 3
 
+    def test_hits_keep_the_journal_bounded(self, tmp_path, monkeypatch):
+        """200 warm 5-cell fetches: the journal compacts itself, and the
+        totals match a store whose journal never compacted."""
+        cells = tiny_cells(range(5))
+
+        def journal_after_warm_fetches(root):
+            cache = RunCache(root)
+            longest = 0
+            for _ in range(201):  # one cold fetch, then 200 warm ones
+                cache.fetch_metrics(cells)
+                longest = max(longest, len(
+                    cache.index.path.read_text().splitlines()))
+            return cache, longest
+
+        bounded, longest = journal_after_warm_fetches(tmp_path / "bounded")
+        monkeypatch.setattr(index_module, "COMPACT_SLACK_LINES", 10 ** 9)
+        unbounded, grown = journal_after_warm_fetches(tmp_path / "unbounded")
+        monkeypatch.undo()
+        assert grown == 5 + 200 * 5
+        assert longest <= index_module.COMPACT_SLACK_LINES \
+            + index_module.COMPACT_LINES_PER_RUN * 5
+        assert bounded.index.stats() == unbounded.index.stats() == \
+            IndexStats(fingerprints=1, runs=5, hits=1000, misses=5)
+        reopened = RunIndex(bounded.index.path)
+        assert reopened.entries() == bounded.index.entries()
+        assert reopened.stats() == \
+            RunIndex(unbounded.index.path).stats()
+
+    def test_compaction_keeps_other_writers_records(self, tmp_path,
+                                                    monkeypatch):
+        """An index compacts from the file, not from its own view."""
+        monkeypatch.setattr(index_module, "COMPACT_SLACK_LINES", 8)
+        path = tmp_path / "index.jsonl"
+        ours, theirs = RunIndex(path), RunIndex(path)
+        ours.record_store("f" * 64, 1, "b" * 64, {"name": "x"})
+        theirs.record_store("e" * 64, 2, "c" * 64, {"name": "y"})
+        for _ in range(10):
+            ours.record_hits([("f" * 64, 1)])
+        assert len(path.read_text().splitlines()) < 12  # it compacted
+        reloaded = RunIndex(path)
+        assert reloaded.lookup("e" * 64, 2) == "c" * 64
+        assert reloaded.stats() == IndexStats(fingerprints=2, runs=2,
+                                              hits=10, misses=2)
+
 
 # ---------------------------------------------------------------------------
 # run cache
@@ -391,12 +452,10 @@ class TestRunCache:
     def test_cached_metrics_bit_identical_to_fresh(self, tmp_path):
         cache = RunCache(tmp_path)
         seeds = [0, 1]
-        cold = cache.compare_scenarios(
-            megamart_timeline(), baseline_timeline(), seeds=seeds
-        )
-        warm = cache.compare_scenarios(
-            megamart_timeline(), baseline_timeline(), seeds=seeds
-        )
+        plan = build_plan("compare", {"seeds": seeds})
+        cold = comparison_from_payload(execute_plan(plan, cache))
+        warm = comparison_from_payload(execute_plan(plan, cache))
+        assert cache.session_hits == 4 and cache.session_misses == 4
         fresh = compare_scenarios(
             megamart_timeline(), baseline_timeline(), seeds=seeds
         )
@@ -408,7 +467,7 @@ class TestRunCache:
     def test_replicate_matches_live_replicate(self, tmp_path):
         factory = CountingFactory()
         cache = RunCache(tmp_path, runner_factory=factory)
-        cached = cache.replicate(tiny_timeline(), seeds=[0, 1, 2])
+        cached = cache.fetch_metrics(tiny_cells([0, 1, 2]))
         live = [
             extract_metrics(h)
             for h in replicate(tiny_timeline(), seeds=[0, 1, 2])
@@ -419,9 +478,9 @@ class TestRunCache:
     def test_warm_call_runs_nothing(self, tmp_path):
         factory = CountingFactory()
         cache = RunCache(tmp_path, runner_factory=factory)
-        cache.replicate(tiny_timeline(), seeds=[0, 1])
+        cache.fetch_metrics(tiny_cells([0, 1]))
         assert factory.calls == 2
-        again = cache.replicate(tiny_timeline(), seeds=[0, 1])
+        again = cache.fetch_metrics(tiny_cells([0, 1]))
         assert factory.calls == 2  # pure disk serve
         assert cache.session_hits == 2
         assert len(again) == 2
@@ -429,36 +488,36 @@ class TestRunCache:
     def test_corrupt_blob_recomputed(self, tmp_path):
         factory = CountingFactory()
         cache = RunCache(tmp_path, runner_factory=factory)
-        [metrics] = cache.replicate(tiny_timeline(), seeds=[5])
+        [metrics] = cache.fetch_metrics(tiny_cells([5]))
         fingerprint = scenario_fingerprint(tiny_timeline())
         blob = cache.index.lookup(fingerprint, 5)
         path = cache.blobs._path(blob)
         path.write_bytes(b"garbage")
-        [recomputed] = cache.replicate(tiny_timeline(), seeds=[5])
+        [recomputed] = cache.fetch_metrics(tiny_cells([5]))
         assert factory.calls == 2
         assert recomputed == metrics
 
     def test_persists_across_instances(self, tmp_path):
         cache = RunCache(tmp_path)
-        first = cache.replicate(tiny_timeline(), seeds=[0])
+        first = cache.fetch_metrics(tiny_cells([0]))
         factory = CountingFactory()
         reopened = RunCache(tmp_path, runner_factory=factory)
-        second = reopened.replicate(tiny_timeline(), seeds=[0])
+        second = reopened.fetch_metrics(tiny_cells([0]))
         assert factory.calls == 0
         assert first == second
 
     def test_validation(self, tmp_path):
         cache = RunCache(tmp_path)
         with pytest.raises(ConfigurationError):
-            cache.replicate(tiny_timeline(), seeds=[])
+            cache.fetch_metrics(tiny_cells([]))
         with pytest.raises(ConfigurationError):
-            cache.replicate(tiny_timeline(), seeds=[0], workers=0)
+            cache.fetch_metrics(tiny_cells([0]), workers=0)
         with pytest.raises(ConfigurationError):
-            cache.run_sweep("p", [], lambda v, s: tiny_timeline(s), [0])
+            sweep_through(cache, [], lambda v, s: tiny_timeline(s), [0])
 
     def test_clear_and_stats(self, tmp_path):
         cache = RunCache(tmp_path)
-        cache.replicate(tiny_timeline(), seeds=[0, 1])
+        cache.fetch_metrics(tiny_cells([0, 1]))
         stats = cache.stats()
         assert stats.runs == 2 and stats.objects == 2
         cache.clear()
@@ -467,7 +526,7 @@ class TestRunCache:
 
     def test_gc_drops_unreferenced_blobs(self, tmp_path):
         cache = RunCache(tmp_path)
-        cache.replicate(tiny_timeline(), seeds=[0])
+        cache.fetch_metrics(tiny_cells([0]))
         cache.blobs.put({"orphan": True})
         report = cache.gc()
         assert report["blobs_removed"] == 1
@@ -475,7 +534,7 @@ class TestRunCache:
 
     def test_gc_drops_runs_with_missing_blobs(self, tmp_path):
         cache = RunCache(tmp_path)
-        cache.replicate(tiny_timeline(), seeds=[0])
+        cache.fetch_metrics(tiny_cells([0]))
         fingerprint = scenario_fingerprint(tiny_timeline())
         blob = cache.index.lookup(fingerprint, 0)
         cache.blobs.delete(blob)
@@ -496,14 +555,13 @@ class TestSweepResume:
         scenario_factory = factory_for(counting)
 
         # "Interrupted" sweep: only 2 of 3 cadences, 2 of 3 seeds done.
-        cache.run_sweep("cadence", [3.0, 6.0], scenario_factory,
-                        seeds=[0, 1])
+        sweep_through(cache, [3.0, 6.0], scenario_factory, seeds=[0, 1])
         assert counting.calls == 4
 
         # Resume with the full grid: 3 cadences x 3 seeds = 9 cells,
         # 4 already on disk -> exactly 5 new simulations.
-        full = cache.run_sweep("cadence", [3.0, 6.0, 9.0],
-                               scenario_factory, seeds=[0, 1, 2])
+        full = sweep_through(cache, [3.0, 6.0, 9.0], scenario_factory,
+                             seeds=[0, 1, 2])
         assert counting.calls == 4 + 5
         assert cache.session_hits == 4
 
@@ -534,13 +592,11 @@ class TestSweepResume:
             seed=seed, cadence=cadence
         )
         with pytest.raises(Boom):
-            cache.run_sweep("cadence", [3.0, 6.0], scenario_factory,
-                            seeds=[0, 1])
+            sweep_through(cache, [3.0, 6.0], scenario_factory, seeds=[0, 1])
         assert cache.stats().runs == 2  # the cells that finished
 
         cache2 = RunCache(tmp_path, runner_factory=counting)
-        cache2.run_sweep("cadence", [3.0, 6.0], scenario_factory,
-                         seeds=[0, 1])
+        sweep_through(cache2, [3.0, 6.0], scenario_factory, seeds=[0, 1])
         assert counting.calls == 4  # 2 before the crash + 2 resumed
 
 
@@ -589,7 +645,8 @@ class TestConcurrentAccess:
 
         def fetch():
             barrier.wait()
-            metrics = cache.replicate(tiny_timeline(), seeds)
+            metrics = cache.fetch_metrics(
+                tiny_cells(seeds))
             with lock:
                 outputs.append(metrics)
 
