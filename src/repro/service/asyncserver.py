@@ -6,10 +6,14 @@ single event loop, so a thousand open SSE streams cost no thread each:
 * **Transport** — hand-rolled HTTP/1.1 over ``asyncio.start_server``:
   request line + headers via ``readuntil``, body via ``readexactly``,
   persistent connections by default (``Connection: close`` honoured).
-* **Dispatch** — endpoint logic still touches the scheduler's lock and
-  can momentarily block, so every :meth:`ServiceAPI.dispatch` runs on
-  a small thread pool (``run_in_executor``); the loop itself never
-  waits on the scheduler.
+* **Dispatch** — every :meth:`ServiceAPI.dispatch` runs on the loop
+  itself.  Each route is short CPU-bound Python that holds the
+  scheduler's lock only briefly, and one GIL serialises it anyway, so
+  a thread pool would add two hand-offs per request and no
+  parallelism.  The cost: while one request is answered, the loop
+  reads no other socket; ``GET /v1/cache/stats`` walks the object
+  directory, and a submit whose plan the store holds in full reads
+  every cell, before the loop moves on.
 * **Streaming** — SSE/JSONL job streams are written with chunked
   transfer encoding, so the connection survives the stream and can be
   reused.  Each open stream parks an ``asyncio.Event`` on the job's
@@ -17,8 +21,10 @@ single event loop, so a thousand open SSE streams cost no thread each:
   wake it via ``loop.call_soon_threadsafe``.  Cost per idle stream:
   one Event and one socket — no thread — which is what lets one
   process hold thousands of live watchers.
-* **Workers** — jobs execute on the scheduler's process pool behind
-  its coalescing / backpressure / retry semantics; the front end only
+* **Workers** — a job whose cells are all stored is answered inside
+  ``POST /v1/jobs`` (its response may already read ``done``); any
+  other queues for the scheduler's dispatcher threads, behind its
+  coalescing / backpressure / retry semantics.  The front end only
   moves bytes in and out.
 
 :func:`build_async_server` wires cache, scheduler and server;
@@ -31,7 +37,6 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from http.client import responses as _REASONS
 from typing import Dict, Optional, Tuple
 
@@ -110,10 +115,6 @@ class AsyncReproServiceServer:
         self._thread: Optional[threading.Thread] = None
         self._ready = threading.Event()
         self._stopped = threading.Event()
-        # Dispatch touches the scheduler lock; keep it off the loop.
-        self._executor = ThreadPoolExecutor(
-            max_workers=8, thread_name_prefix="repro-dispatch"
-        )
 
     # -- lifecycle --------------------------------------------------------
 
@@ -179,7 +180,6 @@ class AsyncReproServiceServer:
                     task.cancel()
             loop.call_soon_threadsafe(_stop)
             self._stopped.wait(timeout=10.0)
-        self._executor.shutdown(wait=False)
         self.scheduler.shutdown()
 
     def server_close(self) -> None:
@@ -219,11 +219,7 @@ class AsyncReproServiceServer:
                 keep_alive = (
                     headers.get("connection", "").lower() != "close"
                 )
-                loop = asyncio.get_running_loop()
-                outcome = await loop.run_in_executor(
-                    self._executor, self.api.dispatch,
-                    method, target, headers, body,
-                )
+                outcome = self.api.dispatch(method, target, headers, body)
                 if isinstance(outcome, StreamHandle):
                     await self._write_stream(writer, outcome)
                 else:

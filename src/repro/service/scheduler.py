@@ -2,10 +2,12 @@
 
 One :class:`Scheduler` owns the job table, a bounded priority queue and
 ``workers`` dispatcher threads that drain it, so up to ``workers`` jobs
-run at once: a job whose cells are all in the store no longer waits
+run at once.  A job whose cells are all in the store never queues:
+:meth:`Scheduler.submit` serves it on the submitting thread, with the
+same events and result a dispatcher would produce, so it never waits
 behind a cold one.  ``workers=1`` keeps one dispatcher and computes in
-the server process, in strict priority order.  With ``workers >= 2``
-every job's missing cells go to one
+the server process, running queued jobs in strict priority order.
+With ``workers >= 2`` every job's missing cells go to one
 :class:`~repro.simulation.cells.WorkerPool` of ``workers`` processes that
 lives as long as the scheduler: it starts on the first cell that needs
 it and :meth:`Scheduler.shutdown` stops it.  Four behaviours make it a
@@ -17,8 +19,9 @@ serving component rather than a work loop:
   Cells already in the :class:`~repro.store.RunCache` are likewise
   never recomputed, which is the second, finer-grained dedup layer.
 * **Backpressure** — when ``queue_depth`` jobs are already waiting,
-  :meth:`submit` raises :class:`~repro.errors.QueueFullError`; the
-  HTTP layer maps that to ``429 Too Many Requests``.
+  :meth:`submit` of a job that must queue raises
+  :class:`~repro.errors.QueueFullError`; the HTTP layer maps that to
+  ``429 Too Many Requests``.
 * **Retry with exponential backoff** — a worker-process death
   (:class:`~repro.errors.WorkerCrashError`) requeues the job after
   ``retry_backoff_s * 2**attempt``; cells persisted before the crash
@@ -36,7 +39,7 @@ serving component rather than a work loop:
   another client's result.
 
 Everything mutating a job or the queue happens under one lock, so the
-HTTP threads can poll and cancel while the dispatchers execute.
+HTTP front end can poll and cancel while the dispatchers execute.
 
 Progress is also *pushed*, not just polled: every job owns a
 sequence-numbered :class:`~repro.service.events.JobEventLog` on the
@@ -85,7 +88,8 @@ __all__ = ["Scheduler"]
 
 _SUBMITTED = REGISTRY.counter(
     "service_jobs_submitted_total",
-    help="Jobs accepted into the queue (coalesced submissions excluded)",
+    help="Jobs accepted, queued or served from the store at submit "
+         "(coalesced submissions excluded)",
 )
 _COALESCED = REGISTRY.counter(
     "service_jobs_coalesced_total",
@@ -167,28 +171,40 @@ class Scheduler:
     def submit(
         self, kind: str, params: Dict[str, Any], priority: int = 0
     ) -> Tuple[Job, bool]:
-        """Queue a job; return ``(job, created)``.
+        """Queue a job, or serve it from the store; return ``(job, created)``.
 
-        ``created`` is False when the submission coalesced onto an
-        already in-flight job with the same resolved cell set.
-        Raises :class:`QueueFullError` when the queue is at depth and
+        A plan whose every cell the store serves is run to ``done``
+        right here and never queues.  ``created`` is False when the
+        submission coalesced onto an already in-flight job with the
+        same resolved cell set.  Raises :class:`QueueFullError` when a
+        job must queue and the queue is at depth, and
         :class:`ConfigurationError` when the parameters are malformed.
         """
         plan = build_plan(kind, params)  # validates before taking the lock
         with self._lock:
-            existing_id = self._by_key.get(plan.key)
-            if existing_id is not None:
-                existing = self._jobs[existing_id]
-                if not existing.is_terminal:
-                    existing.coalesced += 1
-                    existing.waiters += 1
-                    _COALESCED.inc()
+            existing = self._coalesce_locked(plan.key)
+            if existing is not None:
+                return existing, False
+        # A plan the store holds in full is answered here, on the
+        # submitting thread: it never queues or wakes a dispatcher.
+        # The attempt computes nothing; on any absent or corrupt cell
+        # it returns None having counted no hit, and the job queues.
+        served: List[int] = []
+        payload = execute_plan(
+            plan, self.cache,
+            on_progress=lambda index, _: served.append(index),
+            stored_only=True,
+        )
+        with self._lock:
+            if payload is None:
+                existing = self._coalesce_locked(plan.key)
+                if existing is not None:
                     return existing, False
-            if self._queued_count >= self.queue_depth:
-                raise QueueFullError(
-                    f"queue full ({self._queued_count} job(s) waiting, "
-                    f"depth {self.queue_depth})"
-                )
+                if self._queued_count >= self.queue_depth:
+                    raise QueueFullError(
+                        f"queue full ({self._queued_count} job(s) "
+                        f"waiting, depth {self.queue_depth})"
+                    )
             job = Job(
                 id=f"j{next(self._ids):06d}",
                 kind=plan.kind,
@@ -198,17 +214,51 @@ class Scheduler:
             )
             job.progress.cells_total = len(plan.scenarios)
             self._jobs[job.id] = job
+            _SUBMITTED.inc()
+            log = self.events.create(job.id)
+            log.append(EVENT_STATE, state=QUEUED, kind=job.kind)
+            if payload is not None:
+                self._finish_stored_locked(job, served, payload)
+                return job, True
             self._plans[job.id] = plan
             self._by_key[plan.key] = job.id
             self._push(job)
             self._queued_count += 1
-            _SUBMITTED.inc()
             _QUEUE_DEPTH.set(self._queued_count)
-            self.events.create(job.id).append(
-                EVENT_STATE, state=QUEUED, kind=job.kind
-            )
             self._wakeup.notify_all()
             return job, True
+
+    def _coalesce_locked(self, key: str) -> Optional[Job]:
+        """Attach one more waiter to the in-flight job with ``key``."""
+        existing_id = self._by_key.get(key)
+        if existing_id is None:
+            return None
+        existing = self._jobs[existing_id]
+        if existing.is_terminal:
+            return None
+        existing.coalesced += 1
+        existing.waiters += 1
+        _COALESCED.inc()
+        return existing
+
+    def _finish_stored_locked(self, job: Job, served: List[int],
+                              payload: Dict[str, Any]) -> None:
+        """Run ``job`` to done on cells the store served inline.
+
+        Emits what a dispatcher would have: running, one cached cell
+        event per cell, then done.
+        """
+        job.mark_running()
+        self.events.emit(job.id, EVENT_STATE, state=RUNNING)
+        total = job.progress.cells_total
+        for done, index in enumerate(served, 1):
+            job.progress.cells_done = job.progress.cells_cached = done
+            self.events.emit(
+                job.id, EVENT_CELL, index=index, cached=True, done=done,
+                cached_count=done, total=total, attempt=job.attempts,
+            )
+        job.mark_done(payload)
+        self._observe_terminal(job)
 
     def get(self, job_id: str) -> Job:
         with self._lock:

@@ -44,7 +44,8 @@ def execute_plan(
     on_progress: Optional[Callable[[int, bool], None]] = None,
     pool: Optional[WorkerPool] = None,
     workers: int = 1,
-) -> Dict[str, Any]:
+    stored_only: bool = False,
+) -> Optional[Dict[str, Any]]:
     """Run one attempt of ``plan`` and return its JSON result payload.
 
     ``on_progress(index, from_cache)`` fires once per resolved cell,
@@ -53,7 +54,9 @@ def execute_plan(
     run on ``pool``, the scheduler's shared pool, or else on a pool of
     ``workers`` processes opened for this call.  With ``cache=None``
     (no disk store) every cell is computed and only ``workers``
-    applies.
+    applies.  ``stored_only`` (the scheduler's inline attempt) computes
+    nothing: it returns None, having fired no ``on_progress`` and
+    counted no hit, unless the store serves every cell.
 
     Raises
     ------
@@ -74,8 +77,9 @@ def execute_plan(
         on_cell=on_progress,
         should_cancel=None if cancel_event is None else cancel_event.is_set,
         pool=pool,
+        stored_only=stored_only,
     )
-    return plan.assemble(metrics)
+    return None if metrics is None else plan.assemble(metrics)
 
 
 def reset_progress(job: Job, cells_total: int) -> None:

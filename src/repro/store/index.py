@@ -10,7 +10,9 @@ the journal as one ``entry`` snapshot per fingerprint.  Hits would grow
 the journal without bound, so an append that takes it past
 :data:`COMPACT_SLACK_LINES` plus :data:`COMPACT_LINES_PER_RUN` lines
 per cached run compacts it under the lock, first re-reading it if
-another process has appended to it.
+another process has appended to it.  A lookup that misses re-reads the
+journal too when its size has changed, so a long-lived index serves
+cells another process stored after it opened; a hit costs no syscall.
 
 Unreadable journal lines are skipped on load, mirroring the blob
 store's stance: corruption downgrades to a cache miss, never an error.
@@ -147,11 +149,7 @@ class RunIndex:
         if self._lines > COMPACT_SLACK_LINES + COMPACT_LINES_PER_RUN * sum(
             len(e.seeds) for e in self._entries.values()
         ):
-            try:
-                others_wrote = self.path.stat().st_size != self._size
-            except FileNotFoundError:
-                others_wrote = True
-            if others_wrote:
+            if self._journal_size() != self._size:
                 self._load()  # so their records survive the rewrite
             self._write_snapshot()
 
@@ -191,11 +189,27 @@ class RunIndex:
     # -- queries ----------------------------------------------------------
 
     def lookup(self, fingerprint: str, seed: int) -> Optional[str]:
+        """The cell's blob key, or None.
+
+        A miss first re-reads the journal if another process has
+        written to it since this index last read it.
+        """
         with self._lock:
-            entry = self._entries.get(fingerprint)
-            if entry is None:
-                return None
-            return entry.seeds.get(int(seed))
+            blob = self._find(fingerprint, seed)
+            if blob is None and self._journal_size() != self._size:
+                self._load()
+                blob = self._find(fingerprint, seed)
+            return blob
+
+    def _find(self, fingerprint: str, seed: int) -> Optional[str]:
+        entry = self._entries.get(fingerprint)
+        return None if entry is None else entry.seeds.get(int(seed))
+
+    def _journal_size(self) -> int:
+        try:
+            return self.path.stat().st_size
+        except FileNotFoundError:
+            return 0
 
     def entries(self) -> List[IndexEntry]:
         with self._lock:

@@ -135,14 +135,12 @@ class RunCache:
 
     def _load_cell(
         self, fingerprint: str, seed: int
-    ) -> Optional[Dict[str, float]]:
+    ) -> Tuple[Optional[Dict[str, float]], int]:
+        """``(payload, compressed bytes)``; ``(None, 0)`` if not served."""
         blob = self.index.lookup(fingerprint, seed)
         if blob is None:
-            return None
-        payload, nbytes = self.blobs.load(blob)
-        if payload is not None:
-            self._count(bytes_served=nbytes)
-        return payload
+            return None, 0
+        return self.blobs.load(blob)
 
     def _count(
         self,
@@ -172,7 +170,8 @@ class RunCache:
         on_cell: Optional[Callable[[int, bool], None]] = None,
         should_cancel: Optional[Callable[[], bool]] = None,
         pool: Optional[WorkerPool] = None,
-    ) -> List[Dict[str, float]]:
+        stored_only: bool = False,
+    ) -> Optional[List[Dict[str, float]]]:
         """KPI dictionaries for already-seeded scenarios, in input order.
 
         Hits load from the blob store; misses (including entries whose
@@ -185,6 +184,10 @@ class RunCache:
         ``pool`` computes the missing cells on a caller-owned
         :class:`WorkerPool` (the scheduler's); without one,
         ``workers > 1`` opens a pool for this call only.
+
+        ``stored_only`` never computes: unless the store serves every
+        cell, it returns None before ``on_cell`` fires or any hit is
+        counted.
         """
         workers = effective_workers(workers)
         with span("store.fetch", cells=len(scenarios), workers=workers):
@@ -193,8 +196,11 @@ class RunCache:
                 [None] * len(scenarios)
             )
             absent = self._serve_stored(
-                [(key, [i]) for i, key in enumerate(keys)], metrics, on_cell
+                [(key, [i]) for i, key in enumerate(keys)], metrics,
+                on_cell, all_or_none=stored_only,
             )
+            if absent is None:
+                return None
             missing = [indices[0] for _, indices in absent]
             if missing:
                 with call_pool(workers, len(missing), pool) as use:
@@ -208,26 +214,33 @@ class RunCache:
         cells: List[Tuple[Tuple[str, int], List[int]]],
         metrics: List[Optional[Dict[str, float]]],
         on_cell: Optional[Callable[[int, bool], None]],
-    ) -> List[Tuple[Tuple[str, int], List[int]]]:
+        all_or_none: bool = False,
+    ) -> Optional[List[Tuple[Tuple[str, int], List[int]]]]:
         """Serve each ``(key, indices)`` cell on disk as a hit.
 
-        Returns the cells that are not (absent, or their blob corrupt).
+        Returns the cells that are not (absent, or their blob corrupt);
+        with ``all_or_none``, None at the first such cell, having
+        served nothing.
         """
         absent = []
-        served = []
+        loaded = []
         for key, indices in cells:
-            payload = self._load_cell(*key)
+            payload, nbytes = self._load_cell(*key)
             if payload is None:
+                if all_or_none:
+                    return None
                 absent.append((key, indices))
-                continue
+            else:
+                loaded.append((key, indices, payload, nbytes))
+        for _, indices, payload, _ in loaded:
             for i in indices:
                 metrics[i] = payload
                 if on_cell is not None:
                     on_cell(i, True)
-            served.append(key)
-        if served:
-            self.index.record_hits(served)
-            self._count(hits=len(served))
+        if loaded:
+            self.index.record_hits([key for key, _, _, _ in loaded])
+            self._count(hits=len(loaded),
+                        bytes_served=sum(n for _, _, _, n in loaded))
         return absent
 
     def _resolve_missing(
@@ -318,10 +331,11 @@ class RunCache:
                 while not event.wait(_CANCEL_POLL_S):
                     if should_cancel is not None and should_cancel():
                         raise RunCancelled("cancelled waiting for a cell")
-                payload = self._load_cell(*key)
+                payload, nbytes = self._load_cell(*key)
                 if payload is None:
                     failed.extend(indices)
                     continue
+                self._count(bytes_served=nbytes)
                 for i in indices:
                     metrics[i] = payload
                     if on_cell is not None:

@@ -3,6 +3,7 @@ v1 error envelope and the chaos harness's failure paths."""
 
 import asyncio
 import json
+import threading
 import time
 import urllib.request
 
@@ -161,10 +162,19 @@ class TestChaosRetry:
             > before
 
     def test_corrupted_blobs_recompute_not_served(self, tmp_path):
-        cache = RunCache(tmp_path / "store", runner_factory=quick_factory)
+        computed_on = []
+
+        def recording_factory(scenario):
+            computed_on.append(threading.current_thread().name)
+            return quick_factory(scenario)
+
+        cache = RunCache(tmp_path / "store",
+                         runner_factory=recording_factory)
         server = build_async_server(port=0, cache=cache)
         serve_async(server)
         failures = REGISTRY.counter("store_blob_verify_failures_total")
+        hits = REGISTRY.counter("cache_hits_total")
+        misses = REGISTRY.counter("cache_misses_total")
         before = failures.value
         try:
             client = ServiceClient(
@@ -175,14 +185,25 @@ class TestChaosRetry:
             client._await(jid, timeout=30)
             clean = client.result(jid)["metrics"]
             assert corrupt_blobs(tmp_path / "store") >= 3
+            computed_on.clear()
+            hits_before, misses_before = hits.value, misses.value
             jid = client.submit("replicate", params)["job"]["id"]
             client._await(jid, timeout=30)
             assert client.result(jid)["metrics"] == clean
+            # The submit's inline attempt served nothing and computed
+            # nothing: the dispatcher recomputed every forged cell.
+            assert hits.value - hits_before == 0
+            assert misses.value - misses_before == 3
+            assert len(computed_on) == 3
+            assert all(name.startswith("repro-dispatcher-")
+                       for name in computed_on), computed_on
+            states = [e["state"] for e in client.watch_job(jid)
+                      if e["event"] == "state"]
+            assert states == ["queued", "running", "done"]
         finally:
             server.shutdown()
             server.server_close()
         assert failures.value - before >= 3
-
 
     def test_shutdown_leaves_no_pool_workers(self, tmp_path):
         cache = RunCache(tmp_path / "store", runner_factory=quick_factory)
@@ -202,6 +223,90 @@ class TestChaosRetry:
             server.shutdown()
             server.server_close()
         assert pool_worker_pids() == []
+
+
+# -- stored plans are answered inside the submit --------------------------
+
+
+#: A stored 3-cell job's events (``ts`` and ``job_id`` dropped) and its
+#: ``GET .../result`` body, as served before stored plans skipped the
+#: queue.
+STORED_JOB_EVENTS = [
+    {"seq": 1, "event": "state", "state": "queued", "kind": "replicate"},
+    {"seq": 2, "event": "state", "state": "running"},
+    {"seq": 3, "event": "cell", "index": 0, "cached": True, "done": 1,
+     "cached_count": 1, "total": 3, "attempt": 0},
+    {"seq": 4, "event": "cell", "index": 1, "cached": True, "done": 2,
+     "cached_count": 2, "total": 3, "attempt": 0},
+    {"seq": 5, "event": "cell", "index": 2, "cached": True, "done": 3,
+     "cached_count": 3, "total": 3, "attempt": 0},
+    {"seq": 6, "event": "state", "state": "done", "error": None,
+     "result_ready": True},
+]
+STORED_JOB_RESULT = (
+    b'{"job_id": "j000001", "result": {"kind": "replicate", '
+    b'"scenario": "megamart-hackathon", "seeds": [7, 8, 9], '
+    b'"metrics": [{"kpi": 7.0}, {"kpi": 8.0}, {"kpi": 9.0}]}}'
+)
+
+
+class TestStoredPlans:
+    def test_events_and_result_bytes_unchanged(self, service):
+        params = {"seeds": [7, 8, 9]}
+        service._await(service.submit("replicate", params)["job"]["id"],
+                       timeout=30)
+        submitted = service.submit("replicate", params)
+        assert submitted["created"] is True
+        assert submitted["job"]["state"] == "done"
+        jid = submitted["job"]["id"]
+        events = [{k: v for k, v in e.items() if k not in ("ts", "job_id")}
+                  for e in service.watch_job(jid)]
+        assert events == STORED_JOB_EVENTS
+        status, _, body = _raw(service, "GET", f"/v1/jobs/{jid}/result")
+        assert status == 200
+        assert body == STORED_JOB_RESULT
+
+    def test_answered_while_a_cold_job_holds_the_only_dispatcher(
+            self, tmp_path):
+        gate = threading.Event()
+
+        def gated_factory(scenario):
+            if scenario.seed >= 100:
+                gate.wait(30)
+            return quick_factory(scenario)
+
+        cache = RunCache(tmp_path / "store", runner_factory=gated_factory)
+        server = build_async_server(port=0, cache=cache, workers=1)
+        serve_async(server)
+        try:
+            client = ServiceClient(
+                f"http://127.0.0.1:{server.server_port}"
+            )
+            stored = {"seeds": [1, 2]}
+            client._await(client.submit("replicate", stored)["job"]["id"],
+                          timeout=30)
+            cold = client.submit("replicate", {"seeds": [100, 101]})["job"]
+            deadline = time.monotonic() + 10
+            while client.job(cold["id"])["state"] != "running":
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            status, _, raw = _raw(
+                client, "POST", "/v1/jobs",
+                headers={"Content-Type": "application/json"},
+                body=json.dumps({"kind": "replicate",
+                                 "params": stored}).encode(),
+            )
+            assert status == 201
+            job = json.loads(raw)["job"]
+            assert job["state"] == "done"
+            assert client.result(job["id"])["metrics"] == [
+                {"kpi": 1.0}, {"kpi": 2.0},
+            ]
+            assert client.job(cold["id"])["state"] == "running"
+        finally:
+            gate.set()
+            server.shutdown()
+            server.server_close()
 
 
 # -- coalesced DELETE detaches, not cancels -------------------------------

@@ -3,7 +3,9 @@
 import copy
 import gzip
 import json
+import os
 import pickle
+import subprocess
 import sys
 import threading
 from dataclasses import replace
@@ -43,6 +45,7 @@ from repro.store.fingerprint import seeded
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "examples" / \
     "scenario_specs"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def tiny_timeline(seed=0, cadence=6.0, session_hours=4.0):
@@ -443,12 +446,43 @@ class TestRunIndex:
         assert reloaded.stats() == IndexStats(fingerprints=2, runs=2,
                                               hits=10, misses=2)
 
+    def test_lookup_miss_rereads_a_journal_another_writer_grew(
+            self, tmp_path, monkeypatch):
+        path = tmp_path / "index.jsonl"
+        ours, theirs = RunIndex(path), RunIndex(path)
+        ours.record_store("f" * 64, 1, "b" * 64, {"name": "x"})
+        theirs.record_store("e" * 64, 2, "c" * 64, {"name": "y"})
+        assert ours.lookup("e" * 64, 2) == "c" * 64
+        assert ours.stats() == IndexStats(fingerprints=2, runs=2, hits=0,
+                                          misses=2)
+
+        def no_stat():
+            raise AssertionError("a hit must not stat the journal")
+
+        monkeypatch.setattr(ours, "_journal_size", no_stat)
+        assert ours.lookup("f" * 64, 1) == "b" * 64
+
 
 # ---------------------------------------------------------------------------
 # run cache
 
 
 class TestRunCache:
+    def test_serves_cells_another_process_stored_after_it_opened(
+            self, tmp_path):
+        cache = RunCache(tmp_path / "store")
+        subprocess.run(
+            [sys.executable, "-c",
+             "from repro import api; api.replicate('hackathon', "
+             f"seeds=[4], cache=True, cache_dir={str(tmp_path / 'store')!r})"],
+            check=True, env=dict(os.environ, PYTHONPATH=str(SRC_DIR)),
+        )
+        plan = build_plan("replicate", {"scenario": "hackathon",
+                                        "seeds": [4]})
+        execute_plan(plan, cache)
+        assert (cache.session_hits, cache.session_misses) == (1, 0)
+        assert cache.stats().misses_recorded == 1
+
     def test_cached_metrics_bit_identical_to_fresh(self, tmp_path):
         cache = RunCache(tmp_path)
         seeds = [0, 1]
