@@ -164,8 +164,11 @@ def sweep(
     ``base`` points sweeps registered with ``supports_base=True`` at a
     different base scenario spec.
     """
-    plan = build_plan("sweep", {"parameter": parameter, "values": values,
-                                "seeds": _seeds(seeds), "scenario": base})
+    plan = build_plan("sweep", {
+        "parameter": parameter,
+        "values": None if values is None else list(values),
+        "seeds": _seeds(seeds), "scenario": base,
+    })
     return sweep_from_payload(_run(
         plan, trace, workers, cache, cache_dir,
         parameter=parameter, points=len(plan.grid.points),

@@ -310,10 +310,16 @@ def _inline_scenario(spec: Mapping[str, Any], seed: int = 0) -> Scenario:
             raise ConfigurationError(
                 f"unknown plenary field(s): {', '.join(sorted(bad))}"
             )
-        plenaries.append(PlenarySpec(**entry))
+        try:
+            plenaries.append(PlenarySpec(**entry))
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"invalid plenary: {exc}") from None
     payload.setdefault("name", "inline-scenario")
     payload.setdefault("seed", seed)
-    return Scenario(plenaries=tuple(plenaries), **payload)
+    try:
+        return Scenario(plenaries=tuple(plenaries), **payload)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"invalid inline scenario: {exc}") from None
 
 
 #: The process-wide catalog every surface resolves through.

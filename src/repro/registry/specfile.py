@@ -172,11 +172,7 @@ def scenario_from_spec_mapping(
             )
         try:
             plenaries.append(PlenarySpec(**dict(entry)))
-        except TypeError as exc:
-            raise ConfigurationError(
-                f"{source}: plenaries[{index}]: {exc}"
-            )
-        except ConfigurationError as exc:
+        except (TypeError, ValueError, ConfigurationError) as exc:
             raise ConfigurationError(
                 f"{source}: plenaries[{index}]: {exc}"
             )
@@ -192,7 +188,7 @@ def scenario_from_spec_mapping(
             spec_version=spec_version,
             **dict(overrides),
         )
-    except ConfigurationError as exc:
+    except (TypeError, ValueError, ConfigurationError) as exc:
         raise ConfigurationError(f"{source}: {exc}")
 
 

@@ -276,13 +276,13 @@ class AsyncReproServiceServer:
             raise _BadRequest("Transfer-Encoding is not supported")
         body = b""
         raw_length = headers.get("content-length", "0")
-        try:
-            length = int(raw_length)
-        except ValueError:
-            raise _BadRequest(
-                f"invalid Content-Length {raw_length!r}"
-            ) from None
-        if length < 0 or length > MAX_BODY_BYTES:
+        # ASCII digits only (int() would also take "+10", "1_0" and
+        # non-ASCII digits), and few enough for int() to accept.
+        if not (raw_length.isascii() and raw_length.isdigit()
+                and len(raw_length) <= 18):
+            raise _BadRequest(f"invalid Content-Length {raw_length!r}")
+        length = int(raw_length)
+        if length > MAX_BODY_BYTES:
             raise _BadRequest("invalid or oversized Content-Length")
         if length:
             body = await reader.readexactly(length)

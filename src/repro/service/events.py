@@ -2,9 +2,9 @@
 
 Polling ``GET /v1/jobs/{id}`` tells a client *that* progress happened;
 this module tells it *when*.  Every job owns one append-only
-:class:`JobEventLog` — a sequence-numbered list of JSON-safe event
-dictionaries — fed by the scheduler as the job moves through its
-lifecycle:
+:class:`JobEventLog` (its ``events`` attribute, made with the job) — a
+sequence-numbered list of JSON-safe event dictionaries — fed by the
+scheduler as the job moves through its lifecycle:
 
 ========  ==========================================================
 event     payload (beyond ``seq``/``ts``/``job_id``)
@@ -44,7 +44,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from repro.obs import REGISTRY
 
 __all__ = ["EVENT_STATE", "EVENT_CELL", "EVENT_RETRY", "EVENT_DETACH",
-           "JobEventLog", "EventHub"]
+           "JobEventLog"]
 
 EVENT_STATE = "state"
 EVENT_CELL = "cell"
@@ -117,29 +117,3 @@ class JobEventLog:
         with self._lock:
             self._async_waiters.discard((loop, async_event))
 
-
-class EventHub:
-    """All per-job event logs of one scheduler, keyed by job id."""
-
-    def __init__(self) -> None:
-        self._logs: Dict[str, JobEventLog] = {}
-        self._lock = threading.Lock()
-
-    def create(self, job_id: str) -> JobEventLog:
-        with self._lock:
-            log = self._logs.get(job_id)
-            if log is None:
-                log = JobEventLog(job_id)
-                self._logs[job_id] = log
-            return log
-
-    def get(self, job_id: str) -> Optional[JobEventLog]:
-        with self._lock:
-            return self._logs.get(job_id)
-
-    def emit(self, job_id: str, etype: str, close: bool = False,
-             **data: Any) -> None:
-        """Append to ``job_id``'s log; silently ignores unknown jobs."""
-        log = self.get(job_id)
-        if log is not None:
-            log.append(etype, close=close, **data)

@@ -14,6 +14,11 @@ per cell — one cell is one ``(scenario, seed)`` simulator run — and
 distinguishes cells served from the run store from cells computed
 fresh, which is what makes coalescing and crash-resume visible to
 clients polling ``GET /v1/jobs/{id}``.
+
+A job is the single record the scheduler keeps of one submission: it
+owns its :class:`~repro.service.events.JobEventLog` from creation, and
+a queued job carries its :class:`~repro.service.specs.JobPlan` until it
+ends.  Neither is part of :meth:`Job.to_dict`.
 """
 
 from __future__ import annotations
@@ -21,9 +26,13 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.errors import JobStateError
+from repro.service.events import JobEventLog
+
+if TYPE_CHECKING:
+    from repro.service.specs import JobPlan
 
 __all__ = [
     "JOB_KINDS",
@@ -93,6 +102,13 @@ class Job:
     started_ts: Optional[float] = None
     finished_ts: Optional[float] = None
     cancel_event: threading.Event = field(default_factory=threading.Event)
+    #: The plan a dispatcher runs; set while queued or running only.
+    plan: Optional["JobPlan"] = field(default=None, repr=False,
+                                      compare=False)
+    events: JobEventLog = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.events = JobEventLog(self.id)
 
     # -- state machine ----------------------------------------------------
 

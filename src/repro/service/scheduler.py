@@ -41,11 +41,17 @@ serving component rather than a work loop:
 Everything mutating a job or the queue happens under one lock, so the
 HTTP front end can poll and cancel while the dispatchers execute.
 
+The job table holds one record per job, the :class:`~repro.service.jobs.Job`
+itself.  A queued job carries its plan until it ends, and every job
+ends through :meth:`Scheduler._finish_locked`, which makes the
+transition, frees the coalescing key and the plan, counts the job and
+appends its closing ``state`` event.
+
 Progress is also *pushed*, not just polled: every job owns a
-sequence-numbered :class:`~repro.service.events.JobEventLog` on the
-scheduler's :attr:`Scheduler.events` hub, fed with ``state`` /
-``cell`` / ``retry`` / ``detach`` events as execution proceeds.  The
-HTTP layers stream these as SSE/JSONL so clients stop polling.
+sequence-numbered :class:`~repro.service.events.JobEventLog`
+(``job.events``), fed with ``state`` / ``cell`` / ``retry`` /
+``detach`` events as execution proceeds.  The HTTP layers stream these
+as SSE/JSONL so clients stop polling.
 """
 
 from __future__ import annotations
@@ -69,7 +75,6 @@ from repro.service.events import (
     EVENT_DETACH,
     EVENT_RETRY,
     EVENT_STATE,
-    EventHub,
 )
 from repro.service.jobs import (
     CANCELLED,
@@ -78,9 +83,10 @@ from repro.service.jobs import (
     QUEUED,
     RUNNING,
     Job,
+    JobProgress,
 )
-from repro.service.specs import JobPlan, build_plan
-from repro.service.workers import execute_plan, reset_progress
+from repro.service.specs import build_plan
+from repro.service.workers import execute_plan
 from repro.simulation.cells import WorkerPool, effective_workers
 from repro.store.runcache import RunCache
 
@@ -112,6 +118,17 @@ _LATENCY = REGISTRY.histogram(
     "service_job_latency_seconds",
     help="Submit-to-terminal latency per job",
 )
+
+
+def _count_cell(job: Job, index: int, cached: bool) -> Dict[str, Any]:
+    """Count one resolved cell on ``job``; return its ``cell`` event."""
+    progress = job.progress
+    progress.cells_done += 1
+    if cached:
+        progress.cells_cached += 1
+    return {"index": index, "cached": cached, "done": progress.cells_done,
+            "cached_count": progress.cells_cached,
+            "total": progress.cells_total, "attempt": job.attempts}
 
 
 class Scheduler:
@@ -146,13 +163,10 @@ class Scheduler:
         self._pool = WorkerPool(self.workers) if self.workers > 1 else None
         self.max_retries = max_retries
         self.retry_backoff_s = retry_backoff_s
-        #: Per-job event logs; the streaming endpoints subscribe here.
-        self.events = EventHub()
         self._lock = threading.Lock()
         self._wakeup = threading.Condition(self._lock)
         self._heap: List[Tuple[int, int, str]] = []  # (-priority, seq, id)
         self._jobs: Dict[str, Job] = {}
-        self._plans: Dict[str, JobPlan] = {}
         self._by_key: Dict[str, str] = {}  # coalescing key -> in-flight id
         self._queued_count = 0  # jobs in QUEUED state (mirrors the gauge)
         self._ids = itertools.count()
@@ -211,16 +225,22 @@ class Scheduler:
                 params=params,
                 key=plan.key,
                 priority=int(priority),
+                progress=JobProgress(len(plan.scenarios)),
             )
-            job.progress.cells_total = len(plan.scenarios)
             self._jobs[job.id] = job
             _SUBMITTED.inc()
-            log = self.events.create(job.id)
-            log.append(EVENT_STATE, state=QUEUED, kind=job.kind)
+            job.events.append(EVENT_STATE, state=QUEUED, kind=job.kind)
             if payload is not None:
-                self._finish_stored_locked(job, served, payload)
+                # What a dispatcher would emit: running, one cached
+                # cell event per cell, then done.
+                job.mark_running()
+                job.events.append(EVENT_STATE, state=RUNNING)
+                for index in served:
+                    job.events.append(EVENT_CELL,
+                                      **_count_cell(job, index, True))
+                self._finish_locked(job, DONE, result=payload)
                 return job, True
-            self._plans[job.id] = plan
+            job.plan = plan
             self._by_key[plan.key] = job.id
             self._push(job)
             self._queued_count += 1
@@ -241,47 +261,25 @@ class Scheduler:
         _COALESCED.inc()
         return existing
 
-    def _finish_stored_locked(self, job: Job, served: List[int],
-                              payload: Dict[str, Any]) -> None:
-        """Run ``job`` to done on cells the store served inline.
-
-        Emits what a dispatcher would have: running, one cached cell
-        event per cell, then done.
-        """
-        job.mark_running()
-        self.events.emit(job.id, EVENT_STATE, state=RUNNING)
-        total = job.progress.cells_total
-        for done, index in enumerate(served, 1):
-            job.progress.cells_done = job.progress.cells_cached = done
-            self.events.emit(
-                job.id, EVENT_CELL, index=index, cached=True, done=done,
-                cached_count=done, total=total, attempt=job.attempts,
-            )
-        job.mark_done(payload)
-        self._observe_terminal(job)
+    def _lookup_locked(self, job_id: str) -> Job:
+        job = self._jobs.get(job_id)
+        if job is None:
+            raise UnknownJobError(job_id)
+        return job
 
     def get(self, job_id: str) -> Job:
         with self._lock:
-            job = self._jobs.get(job_id)
-            if job is None:
-                raise UnknownJobError(job_id)
-            return job
+            return self._lookup_locked(job_id)
 
     def describe(self, job_id: str) -> Dict[str, Any]:
         """JSON-safe snapshot of one job, taken under the lock."""
         with self._lock:
-            job = self._jobs.get(job_id)
-            if job is None:
-                raise UnknownJobError(job_id)
-            return job.to_dict()
+            return self._lookup_locked(job_id).to_dict()
 
     def result(self, job_id: str) -> Optional[Dict[str, Any]]:
         """The result payload, or None while the job is not done."""
         with self._lock:
-            job = self._jobs.get(job_id)
-            if job is None:
-                raise UnknownJobError(job_id)
-            return job.result
+            return self._lookup_locked(job_id).result
 
     def cancel(self, job_id: str) -> Job:
         """Force-cancel a job; terminal jobs are left untouched.
@@ -294,19 +292,15 @@ class Scheduler:
         ``DELETE`` endpoint uses.
         """
         with self._lock:
-            job = self._jobs.get(job_id)
-            if job is None:
-                raise UnknownJobError(job_id)
+            job = self._lookup_locked(job_id)
             self._cancel_locked(job)
             return job
 
     def _cancel_locked(self, job: Job) -> None:
         if job.state == QUEUED:
-            job.mark_cancelled()
-            self._forget_key(job)
             self._queued_count -= 1
             _QUEUE_DEPTH.set(self._queued_count)
-            self._observe_terminal(job)
+            self._finish_locked(job, CANCELLED)
         elif job.state == RUNNING:
             job.cancel_event.set()
 
@@ -321,14 +315,11 @@ class Scheduler:
         :meth:`cancel`.
         """
         with self._lock:
-            job = self._jobs.get(job_id)
-            if job is None:
-                raise UnknownJobError(job_id)
+            job = self._lookup_locked(job_id)
             if not job.is_terminal and job.waiters > 1:
                 job.waiters -= 1
                 _DETACHES.inc()
-                self.events.emit(job.id, EVENT_DETACH,
-                                 waiters=job.waiters)
+                job.events.append(EVENT_DETACH, waiters=job.waiters)
                 return job, True
             self._cancel_locked(job)
             return job, False
@@ -423,17 +414,30 @@ class Scheduler:
         if self._by_key.get(job.key) == job.id:
             del self._by_key[job.key]
 
-    def _observe_terminal(self, job: Job) -> None:
-        """Record one job reaching a terminal state."""
+    def _finish_locked(self, job: Job, state: str,
+                       result: Optional[Dict[str, Any]] = None,
+                       error: Optional[str] = None) -> None:
+        """End ``job`` in ``state``: the only way a job becomes terminal.
+
+        Makes the transition, frees the coalescing key and the plan,
+        counts the job and its latency, and closes its event log.
+        """
+        if state == DONE:
+            job.mark_done(result)
+        elif state == FAILED:
+            job.mark_failed(error)
+        else:
+            job.mark_cancelled()
+        job.plan = None
+        self._forget_key(job)
         REGISTRY.counter(
             "service_jobs_completed_total",
             help="Jobs that reached a terminal state",
             state=job.state,
         ).inc()
-        if job.finished_ts is not None:
-            _LATENCY.observe(job.finished_ts - job.created_ts)
-        self.events.emit(
-            job.id, EVENT_STATE, close=True, state=job.state,
+        _LATENCY.observe(job.finished_ts - job.created_ts)
+        job.events.append(
+            EVENT_STATE, close=True, state=job.state,
             error=job.error, result_ready=job.state == DONE,
         )
 
@@ -448,8 +452,7 @@ class Scheduler:
                         job.mark_running()
                         self._queued_count -= 1
                         _QUEUE_DEPTH.set(self._queued_count)
-                        self.events.emit(job.id, EVENT_STATE,
-                                         state=RUNNING)
+                        job.events.append(EVENT_STATE, state=RUNNING)
                         return job
                     # cancelled while queued: already terminal, skip
                 if self._stopping:
@@ -466,28 +469,19 @@ class Scheduler:
             self._execute(job)
 
     def _execute(self, job: Job) -> None:
-        plan = self._plans[job.id]
+        plan = job.plan
 
         def on_progress(index: int, from_cache: bool) -> None:
             with self._lock:
-                job.progress.cells_done += 1
-                if from_cache:
-                    job.progress.cells_cached += 1
-                done = job.progress.cells_done
-                cached = job.progress.cells_cached
-                total = job.progress.cells_total
-                attempt = job.attempts
-            self.events.emit(
-                job.id, EVENT_CELL, index=index, cached=from_cache,
-                done=done, cached_count=cached, total=total,
-                attempt=attempt,
-            )
+                cell = _count_cell(job, index, from_cache)
+            job.events.append(EVENT_CELL, **cell)
 
+        result = error = None
         while True:
             with self._lock:
-                reset_progress(job, len(plan.scenarios))
+                job.progress = JobProgress(len(plan.scenarios))
             try:
-                payload = execute_plan(
+                result = execute_plan(
                     plan,
                     self.cache,
                     cancel_event=job.cancel_event,
@@ -495,51 +489,34 @@ class Scheduler:
                     pool=self._pool,
                 )
             except RunCancelled:
-                with self._lock:
-                    job.mark_cancelled()
-                    self._forget_key(job)
-                    self._observe_terminal(job)
-                return
+                state = CANCELLED
             except WorkerCrashError as exc:
                 with self._lock:
                     if job.cancel_event.is_set():
-                        job.mark_cancelled()
-                        self._forget_key(job)
-                        self._observe_terminal(job)
-                        return
-                    if job.attempts >= self.max_retries:
-                        job.mark_failed(
-                            f"worker crashed {job.attempts + 1} time(s); "
-                            f"giving up: {exc}"
-                        )
-                        self._forget_key(job)
-                        self._observe_terminal(job)
-                        return
-                    job.attempts += 1  # stays RUNNING; retried inline
-                    _RETRIES.inc()
-                self.events.emit(job.id, EVENT_RETRY,
-                                 attempt=job.attempts, error=str(exc))
-                delay = self.retry_backoff_s * (2 ** (job.attempts - 1))
-                # Cancel-aware backoff: a cancel during the wait aborts
-                # the retry instead of sleeping through it.
-                if job.cancel_event.wait(delay):
-                    with self._lock:
-                        job.mark_cancelled()
-                        self._forget_key(job)
-                        self._observe_terminal(job)
-                    return
-                continue
+                        state = CANCELLED
+                    elif job.attempts >= self.max_retries:
+                        state = FAILED
+                        error = (f"worker crashed {job.attempts + 1} "
+                                 f"time(s); giving up: {exc}")
+                    else:
+                        state = None  # stays RUNNING; retried inline
+                        job.attempts += 1
+                        _RETRIES.inc()
+                if state is None:
+                    job.events.append(EVENT_RETRY, attempt=job.attempts,
+                                      error=str(exc))
+                    delay = self.retry_backoff_s * (2 ** (job.attempts - 1))
+                    # Cancel-aware backoff: a cancel during the wait
+                    # aborts the retry instead of sleeping through it.
+                    if not job.cancel_event.wait(delay):
+                        continue
+                    state = CANCELLED
             except Exception as exc:  # config/runtime error: not retryable
-                with self._lock:
-                    job.mark_failed(f"{type(exc).__name__}: {exc}")
-                    self._forget_key(job)
-                    self._observe_terminal(job)
-                return
-            with self._lock:
-                if job.cancel_event.is_set():
-                    job.mark_cancelled()
-                else:
-                    job.mark_done(payload)
-                self._forget_key(job)
-                self._observe_terminal(job)
-            return
+                state, error = FAILED, f"{type(exc).__name__}: {exc}"
+            else:
+                state = DONE
+            break
+        with self._lock:
+            if state == DONE and job.cancel_event.is_set():
+                state = CANCELLED
+            self._finish_locked(job, state, result=result, error=error)

@@ -23,6 +23,7 @@ timeline name vs. its inline expansion) still deduplicate to one job.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
@@ -44,6 +45,7 @@ from repro.store.fingerprint import (
 
 __all__ = [
     "CATALOG",
+    "MAX_PLAN_CELLS",
     "JobPlan",
     "resolve_scenario",
     "resolve_seeds",
@@ -68,26 +70,43 @@ def resolve_scenario(spec: Union[str, Dict[str, Any]]) -> Scenario:
     return CATALOG.resolve(spec)
 
 
-def resolve_seeds(raw: Any) -> List[int]:
-    """Normalize a seeds spec: an int N means ``range(N)``."""
+#: Most cells (grid points x seeds) one plan may hold.  The largest
+#: plan in the repository has 100 seeds; a count far beyond this would
+#: otherwise be expanded into one seeded scenario per cell in memory.
+MAX_PLAN_CELLS = 10_000
+
+
+def resolve_seeds(raw: Any, points: int = 1) -> List[int]:
+    """Normalize a seeds spec: an int N means ``range(N)``.
+
+    The seeds run on ``points`` grid points; a plan of more than
+    :data:`MAX_PLAN_CELLS` cells is refused before any list is built.
+    """
     if isinstance(raw, bool):
         raise ConfigurationError("seeds must be an int or a list of ints")
     if isinstance(raw, int):
         if raw < 1:
             raise ConfigurationError(f"seeds must be >= 1, got {raw}")
-        return list(range(raw))
-    if isinstance(raw, list) and raw and all(
+        count = raw
+    elif isinstance(raw, list) and raw and all(
         isinstance(s, int) and not isinstance(s, bool) for s in raw
     ):
-        return [int(s) for s in raw]
-    raise ConfigurationError(
-        "seeds must be a positive int or a non-empty list of ints"
-    )
+        count = len(raw)
+    else:
+        raise ConfigurationError(
+            "seeds must be a positive int or a non-empty list of ints"
+        )
+    if points * count > MAX_PLAN_CELLS:
+        raise ConfigurationError(
+            f"{points} point(s) x {count} seed(s) is more than "
+            f"{MAX_PLAN_CELLS} cells"
+        )
+    return list(range(raw)) if isinstance(raw, int) else [int(s) for s in raw]
 
 
 def sweep_plan(
     parameter: str,
-    values: Optional[Sequence[Any]] = None,
+    values: Optional[List[Any]] = None,
     base: Optional[Union[str, Dict[str, Any]]] = None,
 ) -> tuple:
     """``(values, factory, label_fn)`` for a sweepable parameter.
@@ -98,6 +117,14 @@ def sweep_plan(
     names a scenario spec to sweep over — only parameters registered
     with ``supports_base=True`` accept it.
     """
+    if not isinstance(parameter, str):
+        raise ConfigurationError(
+            f"sweep parameter must be a string, got {parameter!r}"
+        )
+    if values is not None and not isinstance(values, list):
+        raise ConfigurationError(
+            f"sweep values must be a list, got {values!r}"
+        )
     entry = CATALOG.sweep_parameter(parameter)
     chosen = list(values) if values is not None else list(entry.defaults)
     if not chosen:
@@ -106,6 +133,10 @@ def sweep_plan(
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ConfigurationError(
                 f"sweep values must be numbers, got {value!r}"
+            )
+        if not _finite_float(value):
+            raise ConfigurationError(
+                f"sweep values must be finite floats, got {value!r}"
             )
     factory: Callable[..., Scenario] = entry.factory
     if base is not None:
@@ -120,6 +151,13 @@ def sweep_plan(
             return entry.factory(value, seed, base=base_scenario)
 
     return chosen, factory, entry.label
+
+
+def _finite_float(value: Any) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 @dataclass
@@ -195,7 +233,7 @@ def _compare_plan(params: Dict[str, Any]) -> JobPlan:
     _require(params, ("a", "b", "seeds"))
     scenario_a = resolve_scenario(params.get("a", "hackathon"))
     scenario_b = resolve_scenario(params.get("b", "traditional"))
-    seeds = resolve_seeds(params.get("seeds", 3))
+    seeds = resolve_seeds(params.get("seeds", 3), points=2)
     cells = grid("compare", (scenario_a, scenario_b), seeds, seeded)
     names = {"name_a": scenario_a.name, "name_b": scenario_b.name}
     return _plan(cells, names, lambda rows: {
@@ -209,7 +247,7 @@ def _sweep_plan(params: Dict[str, Any]) -> JobPlan:
     values, factory, label_fn = sweep_plan(
         parameter, params.get("values"), base=params.get("scenario")
     )
-    seeds = resolve_seeds(params.get("seeds", 2))
+    seeds = resolve_seeds(params.get("seeds", 2), points=len(values))
     cells = grid("sweep", values, seeds, factory)
     labels = [label_fn(v) for v in values]
     return _plan(cells, {"parameter": parameter, "labels": labels},

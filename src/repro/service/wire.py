@@ -241,6 +241,11 @@ def _int_param(query: Dict[str, List[str]], name: str,
 # -- the API --------------------------------------------------------------
 
 
+def _refuse_constant(name: str) -> Any:
+    """Reject ``NaN``/``Infinity``, which :func:`json.loads` would accept."""
+    raise ValueError(f"{name} is not valid JSON")
+
+
 class ServiceAPI:
     """Transport-agnostic v1 endpoint logic over one scheduler."""
 
@@ -345,8 +350,12 @@ class ServiceAPI:
         if refused is not None:
             return refused
         try:
-            payload = json.loads(body.decode("utf-8") or "{}")
-        except (UnicodeDecodeError, json.JSONDecodeError):
+            payload = json.loads(body.decode("utf-8") or "{}",
+                                 parse_constant=_refuse_constant)
+        except (ValueError, RecursionError):
+            # ValueError covers undecodable bytes, malformed JSON and
+            # the NaN/Infinity literals; RecursionError, nesting deeper
+            # than the decoder's stack.
             return _error(400, "bad_request",
                           "request body is not valid JSON")
         if not isinstance(payload, dict):
@@ -422,10 +431,7 @@ class ServiceAPI:
 
     def _job_events(self, job_id: str, query: Dict[str, List[str]],
                     headers: Any) -> Outcome:
-        self.scheduler.get(job_id)  # 404 via UnknownJobError
-        log = self.scheduler.events.get(job_id)
-        if log is None:  # pre-hub job: nothing will ever stream
-            raise UnknownJobError(job_id)
+        log = self.scheduler.get(job_id).events  # 404 if unknown
         fmt = _single(query, "format")
         if fmt is None:
             accept = _header(headers, "Accept")

@@ -17,8 +17,10 @@ pool.  The retrying caller resubmits the same plan; cells that reached
 disk before the crash come back as hits and are never recomputed.
 
 Cancellation and progress both flow through the cache's hooks:
-``cancel_event`` is polled between cells, and each resolved cell bumps
-the job's progress counters under the scheduler's lock.
+``cancel_event`` is polled between cells, and ``on_progress`` fires
+once per resolved cell.  The executor knows nothing of jobs: the
+scheduler's callback bumps the job's counters and appends its ``cell``
+event.
 """
 
 from __future__ import annotations
@@ -27,14 +29,13 @@ import json
 import threading
 from typing import Any, Callable, Dict, Optional
 
-from repro.service.jobs import Job
 from repro.service.specs import JobPlan
 from repro.simulation.cells import WorkerPool
 from repro.simulation.experiment import _run_many
 from repro.store.fingerprint import canonical_json
 from repro.store.runcache import RunCache
 
-__all__ = ["execute_plan", "reset_progress"]
+__all__ = ["execute_plan"]
 
 
 def execute_plan(
@@ -81,9 +82,3 @@ def execute_plan(
     )
     return None if metrics is None else plan.assemble(metrics)
 
-
-def reset_progress(job: Job, cells_total: int) -> None:
-    """Reset a job's per-cell counters before an attempt (or retry)."""
-    job.progress.cells_total = cells_total
-    job.progress.cells_done = 0
-    job.progress.cells_cached = 0

@@ -10,6 +10,7 @@ all-traditional counterfactual used as the baseline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
@@ -29,6 +30,15 @@ __all__ = [
 #: ``asdict`` and ``replace``) where the store keeps a scenario's
 #: fingerprint once computed.
 FINGERPRINT_ATTR = "_fingerprint"
+
+#: Ceilings on the values a run's cost grows with.  Each is far above
+#: any timeline in the repository (at most 8 h sessions, 4 sessions,
+#: 3 days and a 42-month horizon); a value beyond one would hold a
+#: worker for minutes or, when infinite, forever.
+MAX_SESSION_HOURS = 24.0
+MAX_SESSIONS = 16
+MAX_DAYS = 14
+MAX_END_MONTH = 1200.0
 
 
 @dataclass(frozen=True)
@@ -67,6 +77,10 @@ class PlenarySpec:
                 f"{self.name}: mode must be 'face_to_face', 'virtual' or "
                 f"'hybrid', got {self.mode!r}"
             )
+        if not math.isfinite(self.month):
+            raise ConfigurationError(
+                f"{self.name}: month must be finite, got {self.month}"
+            )
         if self.month < 0:
             raise ConfigurationError(
                 f"{self.name}: month must be >= 0, got {self.month}"
@@ -75,6 +89,18 @@ class PlenarySpec:
             raise ConfigurationError(
                 f"{self.name}: invalid session plan "
                 f"({self.sessions} x {self.session_hours} h)"
+            )
+        # ``not x <= ceiling`` also refuses NaN.
+        if not (self.session_hours <= MAX_SESSION_HOURS
+                and self.sessions <= MAX_SESSIONS):
+            raise ConfigurationError(
+                f"{self.name}: session plan {self.sessions} x "
+                f"{self.session_hours} h exceeds {MAX_SESSIONS} x "
+                f"{MAX_SESSION_HOURS} h"
+            )
+        if self.days > MAX_DAYS:
+            raise ConfigurationError(
+                f"{self.name}: days must be <= {MAX_DAYS}, got {self.days}"
             )
         if self.remote_share is not None:
             if not 0.0 <= self.remote_share <= 1.0:
@@ -144,6 +170,11 @@ class Scenario:
         if len(names) != len(set(names)):
             raise ConfigurationError(
                 f"scenario {self.name!r}: duplicate plenary names"
+            )
+        if not self.end_month <= MAX_END_MONTH:  # also refuses NaN
+            raise ConfigurationError(
+                f"scenario {self.name!r}: end month must be <= "
+                f"{MAX_END_MONTH}, got {self.end_month}"
             )
         if self.team_policy not in ("subscription", "balanced", "random"):
             raise ConfigurationError(

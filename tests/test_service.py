@@ -31,8 +31,10 @@ from repro.service.jobs import (
     Job,
 )
 from repro.service.scheduler import Scheduler
+from repro.service.wire import ServiceAPI, StreamHandle
 from repro.service.workers import execute_plan
 from repro.service.specs import (
+    MAX_PLAN_CELLS,
     build_plan,
     comparison_from_payload,
     resolve_scenario,
@@ -210,6 +212,34 @@ class TestSpecs:
                         "vibe": "great"}]},
         {"plenaries": [{"name": "X", "month": 0.0,
                         "kind": "hackathon"}], "surprise": 1},
+        # Wrong types are refused at the validator, not by a TypeError.
+        {"plenaries": [{"kind": 3}]},
+        {"plenaries": [{"name": "X", "month": "a", "kind": "hackathon"}]},
+        {"plenaries": [{"name": "X", "month": 0.0, "kind": "hackathon"}],
+         "per_owner_challenges": "x"},
+        {"kind": "scenario-spec/v1", "name": "s",
+         "plenaries": [{"name": "X", "month": "a", "kind": "hackathon"}]},
+        {"kind": "scenario-spec/v1", "name": "s",
+         "plenaries": [{"name": "X", "month": 0.0, "kind": "hackathon"}],
+         "scenario": {"per_owner_challenges": "x"}},
+        # Values a run's cost grows without bound with.
+        {"plenaries": [{"name": "X", "month": float("nan"),
+                        "kind": "hackathon"}]},
+        {"plenaries": [{"name": "X", "month": float("inf"),
+                        "kind": "hackathon"}]},
+        {"plenaries": [{"name": "X", "month": 0.0, "kind": "hackathon",
+                        "session_hours": 1e6}]},
+        {"plenaries": [{"name": "X", "month": 0.0, "kind": "hackathon",
+                        "session_hours": float("nan")}]},
+        {"plenaries": [{"name": "X", "month": 0.0, "kind": "hackathon",
+                        "sessions": 1000}]},
+        {"plenaries": [{"name": "X", "month": 0.0, "kind": "hackathon",
+                        "days": 10 ** 6}]},
+        {"plenaries": [{"name": "X", "month": 0.0, "kind": "hackathon"}],
+         "horizon_months": 1e308},
+        {"plenaries": [{"name": "X", "month": 0.0, "kind": "hackathon"}],
+         "horizon_months": float("nan")},
+        {"plenaries": [{"name": "X", "month": 1e6, "kind": "hackathon"}]},
     ])
     def test_bad_scenario_specs_rejected(self, spec):
         with pytest.raises(ConfigurationError):
@@ -221,6 +251,15 @@ class TestSpecs:
         for bad in (0, -1, [], [1.5], ["a"], True, "3"):
             with pytest.raises(ConfigurationError):
                 resolve_seeds(bad)
+        # The plan-size cap is checked before any seed list is built.
+        assert len(resolve_seeds(MAX_PLAN_CELLS)) == MAX_PLAN_CELLS
+        assert len(resolve_seeds(MAX_PLAN_CELLS // 2, points=2)) == \
+            MAX_PLAN_CELLS // 2
+        for bad, points in ((MAX_PLAN_CELLS + 1, 1), (10 ** 9, 1),
+                            (10 ** 400, 1), (MAX_PLAN_CELLS // 2 + 1, 2),
+                            ([0] * 5001, 2)):
+            with pytest.raises(ConfigurationError, match="cells"):
+                resolve_seeds(bad, points=points)
 
     def test_sweep_plan_unknown_parameter(self):
         with pytest.raises(ConfigurationError):
@@ -251,6 +290,19 @@ class TestSpecs:
             build_plan("compare", {"seeds": 2, "banana": 1})
         with pytest.raises(ConfigurationError):
             build_plan("compare", [1, 2])
+        for kind, params in (
+            ("replicate", {"seeds": 10 ** 9}),
+            ("compare", {"seeds": MAX_PLAN_CELLS // 2 + 1}),
+            ("sweep", {"values": [1.0, 2.0, 3.0], "seeds": 3334}),
+            ("sweep", {"values": 5}),
+            ("sweep", {"parameter": ["x"]}),
+            ("sweep", {"values": [10 ** 400]}),
+            ("sweep", {"values": [float("nan")]}),
+            ("sweep", {"parameter": "cadence", "values": [1e308]}),
+            ("sweep", {"parameter": "session-hours", "values": [1e6]}),
+        ):
+            with pytest.raises(ConfigurationError):
+                build_plan(kind, params)
 
     def test_payload_round_trips(self):
         plan = build_plan("compare", {"seeds": 2})
@@ -726,3 +778,114 @@ class TestConcurrentDispatch:
         assert time.monotonic() - start < 4.0
         assert pool_worker_pids() == []
         assert scheduler.wait(job.id, timeout=5).state == CANCELLED
+
+
+# -- one job record: every terminal path ends the same way ----------------
+
+
+def _completed(state):
+    return REGISTRY.counter("service_jobs_completed_total",
+                            state=state).value
+
+
+def _end_stored(tmp_path):
+    scheduler = _scheduler(tmp_path)
+    params = {"seeds": [1]}
+    scheduler.wait(scheduler.submit("replicate", params)[0].id, timeout=10)
+    before = _completed(DONE)
+    job, _ = scheduler.submit("replicate", params)
+    assert job.is_terminal  # served inside submit
+    return scheduler, job, params, before
+
+
+def _end_dispatched(tmp_path):
+    scheduler = _scheduler(tmp_path)
+    params = {"seeds": [2]}
+    before = _completed(DONE)
+    job, _ = scheduler.submit("replicate", params)
+    return scheduler, job, params, before
+
+
+def _end_failed(tmp_path):
+    scheduler = _scheduler(tmp_path, factory=always_crash_factory,
+                           workers=2, max_retries=1)
+    params = {"seeds": [3]}
+    before = _completed(FAILED)
+    job, _ = scheduler.submit("replicate", params)
+    return scheduler, job, params, before
+
+
+def _end_cancelled_queued(tmp_path):
+    scheduler = _scheduler(tmp_path, factory=sleepy_factory)
+    blocker, _ = scheduler.submit("replicate", {"seeds": [0, 1, 2]})
+    _wait_for(lambda: scheduler.get(blocker.id).state == RUNNING)
+    params = {"seeds": [30]}
+    before = _completed(CANCELLED)
+    job, _ = scheduler.submit("replicate", params)
+    assert job.state == QUEUED
+    scheduler.cancel(job.id)
+    return scheduler, job, params, before
+
+
+def _end_cancelled_running(tmp_path):
+    scheduler = _scheduler(tmp_path, factory=sleepy_factory)
+    params = {"seeds": list(range(40, 52))}
+    before = _completed(CANCELLED)
+    job, _ = scheduler.submit("replicate", params)
+    _wait_for(lambda: scheduler.describe(job.id)["progress"]["cells_done"])
+    scheduler.cancel(job.id)
+    return scheduler, job, params, before
+
+
+def _end_cancelled_in_backoff(tmp_path):
+    scheduler = _scheduler(tmp_path, factory=always_crash_factory,
+                           workers=2, max_retries=3, retry_backoff_s=60.0)
+    params = {"seeds": [5]}
+    before = _completed(CANCELLED)
+    job, _ = scheduler.submit("replicate", params)
+    _wait_for(lambda: any(e["event"] == "retry"
+                          for e in job.events.snapshot()[0]), timeout=30)
+    scheduler.cancel(job.id)
+    return scheduler, job, params, before
+
+
+class TestJobRecord:
+    """A job owns its plan and event log and ends through one method."""
+
+    @pytest.mark.parametrize("end, state", [
+        (_end_stored, DONE),
+        (_end_dispatched, DONE),
+        (_end_failed, FAILED),
+        (_end_cancelled_queued, CANCELLED),
+        (_end_cancelled_running, CANCELLED),
+        (_end_cancelled_in_backoff, CANCELLED),
+    ], ids=["done-stored", "done-dispatched", "failed-after-retries",
+            "cancelled-queued", "cancelled-running",
+            "cancelled-in-backoff"])
+    def test_terminal_path(self, tmp_path, end, state):
+        scheduler, job, params, before = end(tmp_path)
+        try:
+            final = scheduler.wait(job.id, timeout=30)
+            assert final.state == state, final.error
+            events, closed = job.events.snapshot()
+            assert closed
+            terminal = [e for e in events if e["event"] == "state"
+                        and e["state"] in (DONE, FAILED, CANCELLED)]
+            assert terminal == [events[-1]]
+            assert events[-1]["state"] == state
+            assert [e["seq"] for e in events] == \
+                list(range(1, len(events) + 1))
+            assert _completed(state) == before + 1
+            assert job.plan is None
+            assert job.id not in getattr(scheduler, "_plans", {})
+            # GET .../events on the finished job replays its whole log.
+            handle = ServiceAPI(scheduler).dispatch(
+                "GET", f"/v1/jobs/{job.id}/events")
+            assert isinstance(handle, StreamHandle)
+            assert handle.log.snapshot() == (events, True)
+            # The coalescing key was released: a resubmit is a new job.
+            again, created = scheduler.submit("replicate", params)
+            assert created and again.id != job.id
+            scheduler.cancel(again.id)
+        finally:
+            scheduler.shutdown()

@@ -1,6 +1,8 @@
 """End-to-end tests for the HTTP serving layer (server + client)."""
 
 import json
+import logging
+import resource
 import socket
 import time
 import urllib.request
@@ -54,6 +56,58 @@ class TestLifecycle:
         with pytest.raises(ServiceError) as excinfo:
             service.submit("compare", {"seeds": -3})
         assert excinfo.value.status == 400
+        # A huge plan is refused before any of its cells is built.
+        rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        start = time.monotonic()
+        with pytest.raises(ServiceError) as excinfo:
+            service.submit("replicate", {"seeds": 1000000000})
+        assert time.monotonic() - start < 1.0
+        assert excinfo.value.status == 400
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss \
+            - rss_kb < 50 * 1024
+
+    @pytest.mark.parametrize("body", [
+        b'{"kind": "sweep", "params": {"values": 5}}',
+        b'{"kind": "sweep", "params": {"parameter": ["x"]}}',
+        b'{"kind": "sweep", "params": {"values": [1' + b"0" * 400
+        + b'], "seeds": 1}}',
+        b'{"kind": "replicate", "params": {"scenario": '
+        b'{"plenaries": [{"kind": 3}]}}}',
+        b'{"kind": "replicate", "params": {"scenario": {"plenaries": '
+        b'[{"name": "X", "month": "a", "kind": "hackathon"}]}}}',
+        b'{"kind": "replicate", "params": {"scenario": {"plenaries": '
+        b'[{"name": "X", "month": 0, "kind": "hackathon"}], '
+        b'"per_owner_challenges": "x"}}}',
+        b"[" * 50000,
+        b'{"kind": "sweep", "params": {"parameter": "cadence", '
+        b'"values": [NaN]}}',
+        b'{"kind": "sweep", "params": {"parameter": "cadence", '
+        b'"values": [Infinity]}}',
+        b'{"kind": "sweep", "params": {"parameter": "cadence", '
+        b'"values": [1e308]}}',
+        b'{"kind": "sweep", "params": {"parameter": "session-hours", '
+        b'"values": [1e6]}}',
+    ], ids=["values-not-list", "parameter-not-str", "value-overflows",
+            "plenary-kind-only", "month-not-number", "field-not-int",
+            "nested-json", "nan", "infinity", "cadence-unbounded",
+            "session-hours-unbounded"])
+    def test_hostile_body_gets_one_400(self, service, body, caplog):
+        received = _send_raw(service, body)
+        _assert_one_400(received)
+        assert not [r for r in caplog.records
+                    if r.levelno >= logging.ERROR], caplog.text
+
+    @pytest.mark.parametrize("length", [b"1_0", b"+10", b"-1", b" ",
+                                        "\u0661".encode(), b"9" * 5000])
+    def test_non_digit_content_length_gets_one_400(self, service, length,
+                                                   caplog):
+        # int() reads "1_0" and "+10" as 10, which would frame this
+        # request and answer 200.
+        received = _send_raw(service, b"x" * 10, length=length,
+                             request_line=b"GET /healthz")
+        _assert_one_400(received)
+        assert not [r for r in caplog.records
+                    if r.levelno >= logging.ERROR], caplog.text
 
     def test_unknown_endpoint_is_404(self, service):
         with pytest.raises(ServiceError) as excinfo:
@@ -112,6 +166,34 @@ class TestLifecycle:
 
 def _port(client):
     return int(client.base_url.rsplit(":", 1)[1])
+
+
+def _send_raw(client, body, length=None, request_line=b"POST /v1/jobs"):
+    """One request with ``body`` on its own connection; bytes received."""
+    length = str(len(body)).encode() if length is None else length
+    with socket.create_connection(("127.0.0.1", _port(client)),
+                                  timeout=10) as sock:
+        sock.sendall(request_line + b" HTTP/1.1\r\nHost: x\r\n"
+                     b"Content-Type: application/json\r\n"
+                     b"Connection: close\r\nContent-Length: " + length
+                     + b"\r\n\r\n" + body)
+        received = b""
+        while True:
+            try:
+                data = sock.recv(65536)
+            except ConnectionResetError:  # closed with bytes unread
+                break
+            if not data:
+                break
+            received += data
+    return received
+
+
+def _assert_one_400(received):
+    assert received.count(b"HTTP/1.") == 1, received
+    head, _, payload = received.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 ")
+    assert json.loads(payload)["error"]["code"] == "bad_request"
 
 
 def _read_until(sock, done):
